@@ -3,7 +3,8 @@
 #
 # Usage: scripts/check.sh [--tsan|--asan|--warm|--triage|--serve|--fleet|--llvm|--bench|--obs] [build-dir]
 #
-#   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks
+#   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks,
+#              and no Table-1 function may hit the iteration budget
 #   --tsan     ThreadSanitizer build (CMake preset "tsan") running the
 #              engine + concurrent-interning + triage + server tests — the
 #              same job CI runs
@@ -622,5 +623,22 @@ cmp "$BUILD_DIR/check_t1.json" "$BUILD_DIR/check_t8.json"
 run_bv --suite sqlite,hmmer --threads 1 --quiet --json "$BUILD_DIR/check_s1.json"
 run_bv --suite sqlite,hmmer --threads 8 --quiet --json "$BUILD_DIR/check_s8.json"
 cmp "$BUILD_DIR/check_s1.json" "$BUILD_DIR/check_s8.json"
+
+# Termination gate: over the whole 12-profile Table-1 suite, normalization
+# must stop on merged roots or on a sweep that changed nothing, never on the
+# iteration budget. Two rules that undo each other show up here as
+# "iteration budget exhausted". The function count keeps the grep honest.
+TABLE1=sqlite,bzip2,gcc,h264ref,hmmer,lbm,libquantum,mcf,milc,perlbench,sjeng,sphinx
+run_bv --suite "$TABLE1" --threads 4 --quiet --json "$BUILD_DIR/check_table1.json"
+FUNCS=$(grep -c '"reason": ' "$BUILD_DIR/check_table1.json" || true)
+if [ "$FUNCS" -lt 400 ]; then
+  echo "check.sh: expected the Table-1 suite's functions, found $FUNCS" >&2
+  exit 1
+fi
+if grep '"reason": "iteration budget exhausted"' \
+  "$BUILD_DIR/check_table1.json" | grep -o '"name": "[^"]*"' >&2; then
+  echo "check.sh: the functions above hit the normalizer's iteration budget" >&2
+  exit 1
+fi
 
 echo "check.sh: OK"

@@ -63,7 +63,8 @@ struct RuleConfig {
   unsigned Mask = RS_Paper;
   /// Module providing global-variable initializers for RS_GlobalFold.
   const Module *M = nullptr;
-  /// Fixpoint budget of the normalize/share loop.
+  /// Budget of the normalize/share loop, in sweeps (each followed by one
+  /// sharing round).
   unsigned MaxIterations = 32;
   SharingStrategy Strategy = SharingStrategy::Combined;
 

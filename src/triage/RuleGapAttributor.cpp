@@ -117,18 +117,10 @@ RuleGapOutcome llvmmd::attributeRuleGap(const Function &A, const Function &B,
   if (!RA.Supported || !RB.Supported)
     return Out; // nothing to diff; probing below is pointless too
   Out.Ran = true;
-  std::vector<NodeId> Roots{RA.Ret, RB.Ret};
-  for (unsigned Round = 0; Round < Rules.MaxIterations; ++Round) {
-    if (G.find(RA.Ret) == G.find(RB.Ret))
-      break;
-    NormalizeStats S = normalizeGraph(G, Roots, Rules);
-    if (S.Rewrites == 0 && S.SharingMerges == 0)
-      break;
-  }
-  if (G.find(RA.Ret) == G.find(RB.Ret)) {
-    // The pair validates after all (the caller raced a different
-    // configuration, or the alarm came from a fixpoint-budget cutoff that
-    // this fresh run got past); there is no gap to attribute.
+  if (normalizeGraph(G, {RA.Ret, RB.Ret}, Rules).Stop ==
+      NormalizeStop::RootsMerged) {
+    // The pair validates after all (the caller ran a different
+    // configuration); there is no gap to attribute.
     Out.Ran = false;
     return Out;
   }

@@ -47,30 +47,17 @@ ValidationResult llvmmd::validatePair(const Function &Original,
   }
   R.GraphNodes = G.size();
 
+  NormalizeStats S = normalizeGraph(G, {A.Ret, B.Ret}, Config);
+  R.Rewrites = S.Rewrites;
+  R.SharingMerges = S.SharingMerges;
+  R.Iterations = S.Iterations;
+  R.Validated = S.Stop == NormalizeStop::RootsMerged;
   // Best case (§2): hash-consing alone already merged the state pointers.
-  if (G.find(A.Ret) == G.find(B.Ret)) {
-    R.Validated = true;
-    R.EqualOnConstruction = true;
-    R.LiveNodes = G.countRoots();
-    return Finish();
-  }
-
-  RuleConfig C = Config;
-  std::vector<NodeId> Roots{A.Ret, B.Ret};
-  for (unsigned Round = 0; Round < C.MaxIterations; ++Round) {
-    ++R.Iterations;
-    NormalizeStats S = normalizeGraph(G, Roots, C);
-    R.Rewrites += S.Rewrites;
-    R.SharingMerges += S.SharingMerges;
-    if (G.find(A.Ret) == G.find(B.Ret)) {
-      R.Validated = true;
-      break;
-    }
-    if (S.Rewrites == 0 && S.SharingMerges == 0)
-      break; // fixpoint without convergence: alarm
-  }
-  if (!R.Validated)
-    R.Reason = "graphs did not merge";
+  R.EqualOnConstruction = R.Validated && S.Iterations == 0;
+  if (S.Stop == NormalizeStop::Budget)
+    R.Reason = "iteration budget exhausted";
+  else if (S.Stop == NormalizeStop::Fixpoint)
+    R.Reason = "graphs did not merge"; // fixpoint without convergence: alarm
   R.LiveNodes = G.countRoots();
   return Finish();
 }

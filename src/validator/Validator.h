@@ -30,14 +30,18 @@ struct ValidationResult {
   /// True if the pair could not be analyzed (irreducible CFG, multiple
   /// returns, ...). Counted as a (false) alarm, like any other failure.
   bool Unsupported = false;
+  /// Why the pair was not validated: "graphs did not merge" when
+  /// normalization reached a fixpoint, "iteration budget exhausted" when it
+  /// ran RuleConfig::MaxIterations sweeps first, or why the pair could not
+  /// be analyzed. Empty when validated.
   std::string Reason;
 
   // Statistics for the evaluation harness.
   uint64_t GraphNodes = 0;    ///< arena size after construction
   uint64_t LiveNodes = 0;     ///< representative nodes after the run
-  uint64_t Rewrites = 0;      ///< rule applications
+  uint64_t Rewrites = 0;      ///< effective rule rewrites (class merges)
   uint64_t SharingMerges = 0; ///< merges from sharing maximization
-  uint64_t Iterations = 0;    ///< normalize/share rounds
+  uint64_t Iterations = 0;    ///< rule sweeps (each followed by a share)
   uint64_t Microseconds = 0;  ///< wall time of the validation
   /// True when the functions' graphs were equal before any normalization —
   /// the O(1) best case of §2.

@@ -76,12 +76,13 @@ NodeId ValueGraph::find(NodeId Id) const {
   return Root;
 }
 
-void ValueGraph::mergeInto(NodeId From, NodeId Into) {
+bool ValueGraph::mergeInto(NodeId From, NodeId Into) {
   NodeId A = find(From), B = find(Into);
   if (A == B)
-    return;
+    return false;
   Parent[A] = B;
   ++MergeCount;
+  return true;
 }
 
 size_t ValueGraph::countRoots() const {
@@ -434,8 +435,7 @@ unsigned ValueGraph::muUnificationPass() {
       std::set<std::pair<NodeId, NodeId>> Assumed;
       if (unify(X, Y, Assumed, 0)) {
         for (auto &[P, Q] : Assumed)
-          mergeInto(std::max(P, Q), std::min(P, Q));
-        Merges += Assumed.size();
+          Merges += mergeInto(std::max(P, Q), std::min(P, Q));
       }
     }
   }

@@ -129,8 +129,9 @@ public:
 
   NodeId find(NodeId Id) const;
   /// Merges \p From into \p Into: find(From) == find(Into) == find-of-Into.
-  /// Rewrite rules call this with Into = the canonical replacement.
-  void mergeInto(NodeId From, NodeId Into);
+  /// Rewrite rules call this with Into = the canonical replacement. Returns
+  /// false (and changes nothing) when both are already in one class.
+  bool mergeInto(NodeId From, NodeId Into);
 
   const Node &node(NodeId Id) const { return Nodes[find(Id)]; }
   size_t size() const { return Nodes.size(); }
@@ -169,7 +170,8 @@ public:
   /// constant GEP offsets. Returns 0 = NoAlias, 1 = MayAlias, 2 = Must.
   int aliasPointers(NodeId P, NodeId Q, unsigned SizeP, unsigned SizeQ) const;
 
-  /// Rewrite statistics (incremented by mergeInto when flagged).
+  /// Number of effective merges so far (mergeInto calls that returned
+  /// true).
   unsigned getMergeCount() const { return MergeCount; }
 
   /// Renders the live cone of \p Roots as readable text (one node per

@@ -9,8 +9,13 @@
 
 #include "normalize/Normalizer.h"
 
+#include "ir/Cloning.h"
 #include "ir/Context.h"
 #include "ir/Module.h"
+#include "opt/Pass.h"
+#include "vg/GraphBuilder.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
 
@@ -402,4 +407,111 @@ TEST_F(MemFixture, MemsetReadBack) {
   const Node &After = G.node(G.find(Ld));
   ASSERT_EQ(After.Kind, NodeKind::ConstInt);
   EXPECT_EQ(After.IntVal, 65);
+}
+
+//===----------------------------------------------------------------------===//
+// Termination by construction
+//===----------------------------------------------------------------------===//
+
+TEST(NormalizerTermination, CmpCanonicalizationLintTable) {
+  // Every icmp predicate, each operand constant or not, operands created in
+  // both node-id orders. After normalizing, one more sweep must find no rule
+  // to apply: no canon.cmp-* rule may fire on another's output, not even as
+  // a no-op.
+  Context Ctx;
+  Type *I32 = Ctx.getInt32Ty(), *I1 = Ctx.getInt1Ty();
+  for (unsigned Pred = 0; Pred <= unsigned(ICmpPred::UGE); ++Pred)
+    for (bool ConstL : {false, true})
+      for (bool ConstR : {false, true})
+        for (bool LeftFirst : {false, true}) {
+          SCOPED_TRACE(std::string(getPredName(ICmpPred(Pred))) +
+                       (ConstL ? " const" : " param") +
+                       (ConstR ? ", const" : ", param") +
+                       (LeftFirst ? " (left created first)"
+                                  : " (right created first)"));
+          ValueGraph G;
+          auto Make = [&](bool Const, unsigned Index) {
+            return Const ? G.getConstInt(I32, Index ? 3 : 7)
+                         : G.getParam(Index, I32);
+          };
+          NodeId L, R;
+          if (LeftFirst) {
+            L = Make(ConstL, 0);
+            R = Make(ConstR, 1);
+          } else {
+            R = Make(ConstR, 1);
+            L = Make(ConstL, 0);
+          }
+          NodeId Cmp = G.getOp(Opcode::ICmp, I1, {L, R}, uint8_t(Pred));
+          RuleConfig C;
+          normalizeGraph(G, {Cmp}, C);
+
+          RuleConfig Once = C;
+          Once.MaxIterations = 1;
+          NormalizeStats Again = normalizeGraph(G, {Cmp}, Once);
+          EXPECT_EQ(Again.Rewrites, 0u);
+          EXPECT_EQ(Again.NoopRewrites, 0u);
+          EXPECT_EQ(Again.Stop, NormalizeStop::Fixpoint);
+
+          // And the surviving compare is in the canonical orientation.
+          if (G.node(Cmp).Kind != NodeKind::Op)
+            continue; // two constants folded away
+          NodeId A = G.operand(Cmp, 0), B = G.operand(Cmp, 1);
+          bool CA = G.node(A).Kind == NodeKind::ConstInt;
+          bool CB = G.node(B).Kind == NodeKind::ConstInt;
+          EXPECT_FALSE(CA && !CB) << "constant left of a non-constant";
+          if (!CA && !CB)
+            EXPECT_LT(A, B) << "non-constants not in node order";
+        }
+}
+
+TEST(NormalizerTermination, EveryTable1PairStopsBeforeTheBudget) {
+  // Every (original, optimized) pair of the 12 Table-1 profiles under the
+  // engine's default rules: normalization ends because the roots merged or
+  // because a sweep changed nothing, never because the budget ran out, and
+  // that fixpoint is real: one more sweep merges nothing.
+  Context Ctx;
+  unsigned Pairs = 0, Fixpoints = 0;
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    std::unique_ptr<Module> Orig = generateBenchmark(Ctx, P);
+    std::unique_ptr<Module> Opt = cloneModule(*Orig);
+    PassManager PM;
+    ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+    RuleConfig Rules;
+    Rules.M = Orig.get();
+    RuleConfig Once = Rules;
+    Once.MaxIterations = 1;
+    for (Function *FO : Opt->definedFunctions()) {
+      if (!PM.run(*FO))
+        continue;
+      ValueGraph G;
+      BuildResult A = buildValueGraph(G, *Orig->getFunction(FO->getName()));
+      BuildResult B = buildValueGraph(G, *FO);
+      if (!A.Supported || !B.Supported)
+        continue;
+      ++Pairs;
+      SCOPED_TRACE(FO->getName());
+      NormalizeStats S = normalizeGraph(G, {A.Ret, B.Ret}, Rules);
+      EXPECT_NE(S.Stop, NormalizeStop::Budget)
+          << S.Iterations << " sweeps, " << S.Rewrites << " rewrites";
+      if (S.Stop != NormalizeStop::Fixpoint)
+        continue;
+      ++Fixpoints;
+      // The unswitch allowance bounds graph growth per run, so a fresh run
+      // may unswitch again where the first spent all of it. Check those
+      // pairs without the commuting rules; nothing else may fire.
+      RuleConfig Check = Once;
+      auto Unswitched = S.RuleFires.find("commute.unswitch");
+      if (Unswitched != S.RuleFires.end() &&
+          Unswitched->second == MaxUnswitchesPerRun)
+        Check.Mask &= ~RS_Commuting;
+      NormalizeStats Again = normalizeGraph(G, {A.Ret, B.Ret}, Check);
+      EXPECT_EQ(Again.Rewrites, 0u);
+      EXPECT_EQ(Again.SharingMerges, 0u);
+      EXPECT_EQ(Again.Stop, NormalizeStop::Fixpoint);
+    }
+  }
+  // Not vacuous: the suite has hundreds of pairs and ~100 rejections.
+  EXPECT_GT(Pairs, 400u);
+  EXPECT_GT(Fixpoints, 50u);
 }

@@ -23,12 +23,14 @@ struct PairFixture : ::testing::Test {
   Context Ctx;
   std::vector<std::unique_ptr<Module>> Keep;
 
-  ValidationResult validate(const char *A, const char *B,
-                            unsigned Mask = RS_Paper) {
+  ValidationResult
+  validate(const char *A, const char *B, unsigned Mask = RS_Paper,
+           unsigned MaxIterations = RuleConfig().MaxIterations) {
     auto MA = parseOrDie(Ctx, A);
     auto MB = parseOrDie(Ctx, B);
     RuleConfig C;
     C.Mask = Mask;
+    C.MaxIterations = MaxIterations;
     C.M = MA.get();
     ValidationResult R = validatePair(*MA->definedFunctions().front(),
                                       *MB->definedFunctions().front(), C);
@@ -77,6 +79,46 @@ entry:
   EXPECT_TRUE(R.Validated);
   EXPECT_TRUE(R.EqualOnConstruction) << "best case must need no rewriting";
   EXPECT_EQ(R.Rewrites, 0u);
+}
+
+TEST_F(PairFixture, BudgetCutoffIsReportedAsSuch) {
+  // x + 0 folds to x in the first sweep; only the sharing round after it
+  // makes the two products one node, so b - c cancels in the second sweep.
+  const char *Orig = R"(
+define i32 @f(i32 %x, i32 %y) {
+entry:
+  %a = add i32 %x, 0
+  %b = mul i32 %a, %y
+  %c = mul i32 %x, %y
+  %d = sub i32 %b, %c
+  ret i32 %d
+}
+)";
+  const char *Zero = R"(
+define i32 @f(i32 %x, i32 %y) {
+entry:
+  ret i32 0
+}
+)";
+  auto R = validate(Orig, Zero);
+  EXPECT_TRUE(R.Validated) << R.Reason;
+  EXPECT_EQ(R.Iterations, 2u) << "Iterations counts sweeps";
+
+  auto Cut = validate(Orig, Zero, RS_Paper, /*MaxIterations=*/1);
+  EXPECT_FALSE(Cut.Validated);
+  EXPECT_EQ(Cut.Reason, "iteration budget exhausted");
+  EXPECT_EQ(Cut.Iterations, 1u);
+
+  // A genuine mismatch reaches a fixpoint well inside the budget.
+  auto Wrong = validate(Orig, R"(
+define i32 @f(i32 %x, i32 %y) {
+entry:
+  ret i32 1
+}
+)");
+  EXPECT_FALSE(Wrong.Validated);
+  EXPECT_EQ(Wrong.Reason, "graphs did not merge");
+  EXPECT_LT(Wrong.Iterations, RuleConfig().MaxIterations);
 }
 
 TEST_F(PairFixture, PaperSection4GvnSccpExample) {

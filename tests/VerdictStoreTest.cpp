@@ -325,6 +325,63 @@ TEST(VerdictStoreTest, SecondEngineReplaysEverythingFromTheStore) {
   }
 }
 
+TEST(VerdictStoreTest, StoreUnderPreviousSemanticsSaltLoadsCold) {
+  // The salt before rewrites counted only effective merges and iterations
+  // counted sweeps ("lmd-v1.0"). A store written under it holds verdicts
+  // with the old statistics: it must be a cold miss for today's engine, not
+  // an error and not a warm replay.
+  constexpr uint64_t PreviousSalt = 0x6c6d642d76312e30ULL;
+  ASSERT_NE(VerdictStore::SemanticsSalt, PreviousSalt);
+  RuleConfig Rules;
+  uint64_t PreviousDigest = hashCombine(
+      hashCombine(hashCombine(PreviousSalt, Rules.Mask),
+                  static_cast<uint64_t>(Rules.Strategy)),
+      Rules.MaxIterations);
+  ASSERT_NE(PreviousDigest, verdictStoreConfigDigest(Rules));
+
+  TempFile F("previous-salt.vstore");
+  unsigned Validated = 0;
+  {
+    // Real verdicts, re-saved under the previous salt's digest.
+    Context Ctx;
+    auto M = generateBenchmark(Ctx, smallProfile());
+    EngineConfig C;
+    C.CachePath = F.path();
+    ValidationEngine Engine(C);
+    Validated = Engine.run(*M, getPaperPipeline()).Report.validated();
+    ASSERT_GT(Engine.cacheStats().StoreSaved, 0u);
+    VerdictMap Map;
+    ASSERT_TRUE(VerdictStore::load(F.path(), verdictStoreConfigDigest(Rules),
+                                   Map)
+                    .loaded());
+    ASSERT_NE(VerdictStore::save(F.path(), PreviousDigest, Map), ~0ull);
+  }
+  VerdictMap Direct;
+  EXPECT_EQ(VerdictStore::load(F.path(), verdictStoreConfigDigest(Rules),
+                               Direct)
+                .Status,
+            VerdictStore::LoadStatus::ConfigMismatch);
+  EXPECT_TRUE(Direct.empty());
+  {
+    Context Ctx;
+    auto M = generateBenchmark(Ctx, smallProfile());
+    EngineConfig C;
+    C.CachePath = F.path();
+    ValidationEngine Engine(C);
+    EXPECT_EQ(Engine.cacheStats().StoreLoaded, 0u);
+    ValidationReport R = Engine.run(*M, getPaperPipeline()).Report;
+    EXPECT_EQ(Engine.cacheStats().WarmHits, 0u);
+    EXPECT_GT(Engine.cacheStats().Misses, 0u);
+    EXPECT_EQ(R.validated(), Validated);
+  }
+  // The cold run rewrote the store under the current salt.
+  VerdictMap Rebuilt;
+  EXPECT_TRUE(VerdictStore::load(F.path(), verdictStoreConfigDigest(Rules),
+                                 Rebuilt)
+                  .loaded());
+  EXPECT_FALSE(Rebuilt.empty());
+}
+
 TEST(VerdictStoreTest, EngineRejectsAndRebuildsMismatchedStore) {
   TempFile F("engine-mismatch.vstore");
   {
