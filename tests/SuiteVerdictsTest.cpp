@@ -4,10 +4,12 @@
 //
 // Runs the whole 12-profile paper suite through the engine and compares
 // every function's verdict — (name, validated, reason, fingerprint_opt) —
-// against tests/fixtures/suite_verdicts.tsv. A change to the normalizer,
-// the sharing passes or the optimizer that flips, re-words or re-shapes a
-// single verdict fails here, so "verdicts unchanged" is a standing gate and
-// not a one-off claim.
+// and every per-function statistic of the report (rewrites, sharing_merges,
+// graph_nodes, live_nodes, iterations, equal_on_construction) against
+// tests/fixtures/suite_verdicts.tsv. A change to the normalizer, the sharing
+// passes or the optimizer that flips, re-words or re-shapes a single verdict,
+// or that moves a single statistic, fails here, so "verdicts and statistics
+// unchanged" is a standing gate and not a one-off claim.
 //
 // To regenerate the fixture after an intended verdict change, run the test
 // binary with LLVMMD_UPDATE_FIXTURES=1 and review the diff.
@@ -38,7 +40,9 @@ std::string fixturePath() {
 }
 
 /// One line per function, in suite then module order:
-/// module/function <TAB> 0|1 <TAB> reason <TAB> fingerprint_opt (hex).
+/// module/function <TAB> 0|1 <TAB> reason <TAB> fingerprint_opt (hex)
+/// <TAB> rewrites <TAB> sharing_merges <TAB> graph_nodes <TAB> live_nodes
+/// <TAB> iterations <TAB> equal_on_construction (0|1).
 std::vector<std::string> suiteVerdictRows() {
   Context Ctx;
   std::vector<std::unique_ptr<Module>> Owned;
@@ -57,9 +61,13 @@ std::vector<std::string> suiteVerdictRows() {
     for (const FunctionReportEntry &F : M.Functions) {
       char Fp[17];
       std::snprintf(Fp, sizeof(Fp), "%016" PRIx64, F.FingerprintOpt);
-      Rows.push_back(M.ModuleName + "/" + F.Name + "\t" +
-                     (F.Validated ? "1" : "0") + "\t" + F.Result.Reason +
-                     "\t" + Fp);
+      const ValidationResult &R = F.Result;
+      std::ostringstream Row;
+      Row << M.ModuleName << '/' << F.Name << '\t' << (F.Validated ? 1 : 0)
+          << '\t' << R.Reason << '\t' << Fp << '\t' << R.Rewrites << '\t'
+          << R.SharingMerges << '\t' << R.GraphNodes << '\t' << R.LiveNodes
+          << '\t' << R.Iterations << '\t' << (R.EqualOnConstruction ? 1 : 0);
+      Rows.push_back(Row.str());
     }
   }
   return Rows;
