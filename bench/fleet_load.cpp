@@ -11,18 +11,21 @@
 //
 //   $ ./fleet_load [jobs] [clients]
 //
-// Defaults: 12 jobs submitted by 4 concurrent clients. Prints
-// human-readable results plus one FLEET_LOAD{...} JSON line, writes the
-// same object to BENCH_fleet.json, and exits nonzero when the 2-worker
-// fleet delivers less than 1.6x the 1-worker throughput (the acceptance
-// bar for per-core worker scaling; perfect scaling is 2.0x, the slack
-// absorbs router overhead and scheduler noise).
+// Defaults: 12 jobs submitted by 4 concurrent clients. One round times
+// the 1-worker fleet and then the 2-worker fleet; a single round's speedup
+// swings widely with scheduler noise, so three rounds run and the median
+// speedup is the result. Prints human-readable results plus one
+// FLEET_LOAD{...} JSON line (every round included), writes the same object
+// to BENCH_fleet.json, and exits nonzero when the median 2-worker speedup
+// is below 1.6x (the acceptance bar for per-core worker scaling; perfect
+// scaling is 2.0x, the slack absorbs router overhead and scheduler noise).
 //
 //===----------------------------------------------------------------------===//
 
 #include "fleet/FleetRouter.h"
 #include "server/ServerClient.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -134,38 +137,67 @@ int main(int argc, char **argv) {
   }
   std::string Binary = workerBinary(argv[0]);
 
-  double T1 = runFleet(1, Jobs, Clients, Binary);
-  if (T1 < 0)
-    return 1;
-  std::printf("fleet x1: %2u cold jobs via %u clients in %6.2fs -> %6.2f "
-              "jobs/s\n",
-              Jobs, Clients, T1, Jobs / T1);
-
-  double T2 = runFleet(2, Jobs, Clients, Binary);
-  if (T2 < 0)
-    return 1;
-  double Speedup = T1 / T2;
-  std::printf("fleet x2: %2u cold jobs via %u clients in %6.2fs -> %6.2f "
-              "jobs/s  (%.2fx)\n",
-              Jobs, Clients, T2, Jobs / T2, Speedup);
+  struct Round {
+    double T1 = 0, T2 = 0;
+    double speedup() const { return T1 / T2; }
+  };
+  const unsigned NumRounds = 3;
+  std::vector<Round> Rounds;
+  for (unsigned R = 1; R <= NumRounds; ++R) {
+    Round Run;
+    Run.T1 = runFleet(1, Jobs, Clients, Binary);
+    if (Run.T1 < 0)
+      return 1;
+    std::printf("round %u fleet x1: %2u cold jobs via %u clients in %6.2fs "
+                "-> %6.2f jobs/s\n",
+                R, Jobs, Clients, Run.T1, Jobs / Run.T1);
+    Run.T2 = runFleet(2, Jobs, Clients, Binary);
+    if (Run.T2 < 0)
+      return 1;
+    std::printf("round %u fleet x2: %2u cold jobs via %u clients in %6.2fs "
+                "-> %6.2f jobs/s  (%.2fx)\n",
+                R, Jobs, Clients, Run.T2, Jobs / Run.T2, Run.speedup());
+    Rounds.push_back(Run);
+  }
+  std::vector<Round> BySpeedup = Rounds;
+  std::sort(BySpeedup.begin(), BySpeedup.end(),
+            [](const Round &A, const Round &B) {
+              return A.speedup() < B.speedup();
+            });
+  const Round &Median = BySpeedup[NumRounds / 2];
+  double Speedup = Median.speedup();
+  std::printf("median 2-worker speedup over %u rounds: %.2fx\n", NumRounds,
+              Speedup);
 
   // The gate is only meaningful when a second worker can actually get a
   // core: on a single-core box both fleets time-slice one CPU and the
   // "speedup" measures nothing but context-switch overhead. The artifact
   // records whether the gate was live so CI history stays interpretable.
+  // fleet1_s, fleet2_s and speedup are the median round's; "rounds" lists
+  // every round in run order.
   const double Threshold = 1.6;
   unsigned Cores = std::thread::hardware_concurrency();
   bool Gated = Cores >= 2;
-  char Json[512];
-  std::snprintf(Json, sizeof(Json),
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
                 "{\"jobs\": %u, \"clients\": %u, \"cores\": %u, "
                 "\"fleet1_s\": %.4f, \"fleet2_s\": %.4f, \"speedup\": %.3f, "
-                "\"threshold\": %.2f, \"gated\": %s}",
-                Jobs, Clients, Cores, T1, T2, Speedup, Threshold,
+                "\"threshold\": %.2f, \"gated\": %s, \"rounds\": [",
+                Jobs, Clients, Cores, Median.T1, Median.T2, Speedup, Threshold,
                 Gated ? "true" : "false");
-  std::printf("FLEET_LOAD%s\n", Json);
+  std::string Json = Buf;
+  for (unsigned R = 0; R < NumRounds; ++R) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s{\"fleet1_s\": %.4f, \"fleet2_s\": %.4f, "
+                  "\"speedup\": %.3f}",
+                  R ? ", " : "", Rounds[R].T1, Rounds[R].T2,
+                  Rounds[R].speedup());
+    Json += Buf;
+  }
+  Json += "]}";
+  std::printf("FLEET_LOAD%s\n", Json.c_str());
   if (FILE *F = std::fopen("BENCH_fleet.json", "w")) {
-    std::fprintf(F, "%s\n", Json);
+    std::fprintf(F, "%s\n", Json.c_str());
     std::fclose(F);
   } else {
     std::fprintf(stderr, "error: cannot write BENCH_fleet.json\n");
@@ -184,7 +216,8 @@ int main(int argc, char **argv) {
   // to one shard).
   if (Speedup < Threshold) {
     std::fprintf(stderr,
-                 "error: 2-worker speedup %.2fx fell below the %.2fx bar\n",
+                 "error: median 2-worker speedup %.2fx fell below the %.2fx "
+                 "bar\n",
                  Speedup, Threshold);
     return 1;
   }

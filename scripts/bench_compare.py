@@ -2,6 +2,7 @@
 """Compare two BENCH_scaling.json engine reports and fail on regression.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--max-regression 0.25]
+                        [--allow-missing]
 
 BENCH_scaling.json is the validation engine's JSON report with timing
 (schema llvmmd-validation-report-v1, emitted by bench/scaling.cpp). The
@@ -9,11 +10,12 @@ guarded metric is end-to-end validation throughput: validated functions per
 second of engine wall time. Exits 1 when the current throughput is more
 than --max-regression below the baseline; a faster run never fails.
 
-CI gates twice: against the previous run's BENCH_scaling artifact (the
-trajectory) and against the committed seed baseline in bench/baselines/.
-A missing baseline file is an explicit clean pass, loudly logged — the
-very first run of a fresh trajectory has nothing to compare against, and
-silently exiting would look identical to a forgotten gate.
+CI gates twice: against the committed seed baseline in bench/baselines/
+and against the previous run's BENCH_scaling artifact (the trajectory).
+A missing baseline fails (exit 1): a gate with nothing to compare against
+has not gated anything. Only the trajectory step passes --allow-missing,
+because the very first run of a fresh trajectory (or one whose previous
+artifacts all expired) has no previous run; it then passes loudly.
 """
 
 import argparse
@@ -42,15 +44,23 @@ def main():
     ap.add_argument("current")
     ap.add_argument("--max-regression", type=float, default=0.25,
                     help="fractional throughput drop that fails (default .25)")
+    ap.add_argument("--allow-missing", action="store_true",
+                    help="pass (loudly) when BASELINE does not exist; for the "
+                         "first run of a trajectory only")
     args = ap.parse_args()
 
     if not os.path.exists(args.baseline):
+        throughput(args.current)  # still validate the current report
+        if not args.allow_missing:
+            print(f"FAIL: no baseline at {args.baseline}; a gate without a "
+                  f"baseline gates nothing (pass --allow-missing only for "
+                  f"the first run of a trajectory)")
+            return 1
         # First run of a trajectory: nothing to regress against. Pass, but
         # say so explicitly — a silent exit is indistinguishable from a
         # gate that never ran.
         print(f"notice: no baseline at {args.baseline}; first run of this "
               f"trajectory — clean pass, no regression gate applied")
-        throughput(args.current)  # still validate the current report
         print("OK (no baseline)")
         return 0
 

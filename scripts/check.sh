@@ -114,9 +114,8 @@ if [ "$MODE" = bench ]; then
   # so numbers are comparable to CI's), run the scaling benchmarks — the
   # gated metric is the engine report's wall clock, so the microbenchmark
   # min-time can stay short — then hold the emitted BENCH_scaling.json to
-  # at least 1.0x the committed seed baseline's batch throughput. The seed
-  # was recorded before the arena allocator landed, so a healthy tree
-  # clears the bar with headroom.
+  # at least 1.0x the committed seed baseline's batch throughput. A missing
+  # baseline fails, as in CI.
   cd "$REPO_ROOT"
   cmake --preset release
   cmake --build --preset release -j "$(nproc)" --target scaling
