@@ -9,20 +9,20 @@
 #include "ir/Function.h"
 
 #include <algorithm>
-#include <set>
+#include <unordered_set>
 
 using namespace llvmmd;
 
 std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
   std::vector<BasicBlock *> PostOrder;
-  std::set<BasicBlock *> Visited;
   if (F.isDeclaration())
     return PostOrder;
+  std::unordered_set<const BasicBlock *> Visited(2 * F.blocks().size());
 
   // Iterative DFS computing post-order.
   struct Frame {
     BasicBlock *BB;
-    std::vector<BasicBlock *> Succs;
+    SuccessorRange Succs;
     size_t Next = 0;
   };
   std::vector<Frame> Stack;
@@ -46,9 +46,9 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
 
 std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {
   std::vector<BasicBlock *> Out;
-  std::set<BasicBlock *> Visited;
   if (F.isDeclaration())
     return Out;
+  std::unordered_set<const BasicBlock *> Visited(2 * F.blocks().size());
   std::vector<BasicBlock *> Work{F.getEntryBlock()};
   Visited.insert(F.getEntryBlock());
   while (!Work.empty()) {

@@ -16,19 +16,16 @@ using namespace llvmmd;
 LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   (void)F; // the CFG is reached through the dominator tree's RPO
   const std::vector<BasicBlock *> &RPO = DT.getRPO();
-  std::map<BasicBlock *, unsigned> RPOIndex;
-  for (unsigned I = 0, E = RPO.size(); I != E; ++I)
-    RPOIndex[RPO[I]] = I;
 
   // Collect back edges; detect irreducibility: a retreating edge (target
   // earlier in RPO) whose target does not dominate the source.
   std::map<BasicBlock *, std::vector<BasicBlock *>> BackEdges;
   for (BasicBlock *BB : RPO) {
     for (BasicBlock *Succ : BB->successors()) {
-      auto It = RPOIndex.find(Succ);
-      if (It == RPOIndex.end())
+      unsigned SuccIdx = DT.getRPOIndex(Succ);
+      if (SuccIdx == ~0u)
         continue;
-      if (It->second <= RPOIndex[BB]) {
+      if (SuccIdx <= DT.getRPOIndex(BB)) {
         if (DT.dominates(Succ, BB))
           BackEdges[Succ].push_back(BB);
         else
@@ -58,14 +55,14 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
       Work.pop_back();
       if (!L->BlockSet.insert(BB).second)
         continue;
-      for (BasicBlock *Pred : BB->predecessors())
+      for (BasicBlock *Pred : DT.predecessors(BB))
         if (DT.isReachable(Pred) && Pred != Header)
           Work.push_back(Pred);
     }
     L->Blocks.assign(L->BlockSet.begin(), L->BlockSet.end());
     std::sort(L->Blocks.begin(), L->Blocks.end(),
               [&](BasicBlock *A, BasicBlock *B) {
-                return RPOIndex.find(A)->second < RPOIndex.find(B)->second;
+                return DT.getRPOIndex(A) < DT.getRPOIndex(B);
               });
     Loops.push_back(std::move(L));
   }
@@ -79,7 +76,7 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   std::sort(BydSize.begin(), BydSize.end(), [&](Loop *A, Loop *B) {
     if (A->Blocks.size() != B->Blocks.size())
       return A->Blocks.size() < B->Blocks.size();
-    return RPOIndex[A->Header] < RPOIndex[B->Header];
+    return DT.getRPOIndex(A->Header) < DT.getRPOIndex(B->Header);
   });
   for (unsigned I = 0, E = BydSize.size(); I != E; ++I) {
     Loop *Inner = BydSize[I];
@@ -103,7 +100,7 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
 
   // Preheaders, entering blocks, exits.
   for (auto &L : Loops) {
-    for (BasicBlock *Pred : L->Header->predecessors()) {
+    for (BasicBlock *Pred : DT.predecessors(L->Header)) {
       if (!DT.isReachable(Pred) || L->contains(Pred))
         continue;
       L->Entering.push_back(Pred);

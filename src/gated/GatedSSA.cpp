@@ -157,7 +157,7 @@ GatingAnalysis::computeEdgePredicate(const BasicBlock *From,
       GateFactory &GF = GA.Factory;
       const LoopInfo &LI = *GA.LI;
       const GateExpr *Acc = GF.getFalse();
-      for (const BasicBlock *P : BB->predecessors()) {
+      for (const BasicBlock *P : GA.DT->predecessors(BB)) {
         if (!GA.DT->isReachable(P))
           continue;
         if (isBackEdge(LI, P, BB))
@@ -241,21 +241,17 @@ const GateExpr *GatingAnalysis::getStayCondition(const Loop &L,
 
 std::pair<const BasicBlock *, const BasicBlock *>
 GatingAnalysis::getPrimaryExitEdge(const Loop &L) const {
-  std::map<const BasicBlock *, unsigned> RPOIndex;
-  unsigned I = 0;
-  for (const BasicBlock *BB : DT->getRPO())
-    RPOIndex[BB] = I++;
   const BasicBlock *BestFrom = nullptr;
   const BasicBlock *BestTo = nullptr;
   unsigned BestKey = ~0u;
   for (const BasicBlock *BB : L.getBlocks()) {
-    auto It = RPOIndex.find(BB);
-    if (It == RPOIndex.end())
+    unsigned Index = DT->getRPOIndex(BB);
+    if (Index == ~0u)
       continue;
     unsigned SuccIdx = 0;
     for (const BasicBlock *Succ : BB->successors()) {
       if (!L.contains(Succ)) {
-        unsigned Key = It->second * 4 + SuccIdx;
+        unsigned Key = Index * 4 + SuccIdx;
         if (Key < BestKey) {
           BestKey = Key;
           BestFrom = BB;

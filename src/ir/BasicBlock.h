@@ -15,13 +15,37 @@
 
 #include "ir/Instruction.h"
 
+#include <cassert>
 #include <list>
 #include <string>
 #include <vector>
 
 namespace llvmmd {
 
+class BasicBlock;
 class Function;
+
+/// A block's successors, stored inline: a terminator has at most two
+/// (a conditional branch), so successors() never allocates. Both entries
+/// of `br %c, %x, %x` are listed, as the terminator lists them.
+class SuccessorRange {
+public:
+  using iterator = BasicBlock *const *;
+  iterator begin() const { return Succs; }
+  iterator end() const { return Succs + N; }
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  BasicBlock *operator[](size_t I) const {
+    assert(I < N && "successor index out of range");
+    return Succs[I];
+  }
+  BasicBlock *front() const { return (*this)[0]; }
+
+private:
+  friend class BasicBlock;
+  BasicBlock *Succs[2] = {nullptr, nullptr};
+  unsigned N = 0;
+};
 
 class BasicBlock {
 public:
@@ -87,15 +111,18 @@ public:
   }
 
   /// Successor blocks via the terminator (empty for ret/unreachable).
-  std::vector<BasicBlock *> successors() const {
-    std::vector<BasicBlock *> Out;
+  SuccessorRange successors() const {
+    SuccessorRange Out;
     if (auto *Br = dyn_cast_or_null<BranchInst>(getTerminator()))
       for (unsigned I = 0, E = Br->getNumSuccessors(); I != E; ++I)
-        Out.push_back(Br->getSuccessor(I));
+        Out.Succs[Out.N++] = Br->getSuccessor(I);
     return Out;
   }
 
-  /// Predecessor blocks, computed by scanning the parent function.
+  /// Predecessor blocks in function block order, each once, computed by
+  /// scanning the parent function: O(blocks) per call. An analysis that
+  /// asks repeatedly uses DominatorTree::predecessors() instead, which
+  /// answers from an index built once per tree.
   std::vector<BasicBlock *> predecessors() const;
 
   /// First non-phi instruction position (phis must be grouped at the top).

@@ -169,7 +169,8 @@ private:
   /// Knows that memset fills a region with a byte (libc knowledge, another
   /// of the paper's false-alarm sources).
   Value *findAvailableLoadValue(Instruction *From, Value *Ptr, Type *Ty,
-                                const AliasAnalysis &AA) {
+                                const AliasAnalysis &AA,
+                                const DominatorTree &DT) {
     unsigned Budget = 256;
     BasicBlock *BB = From->getParent();
     // Position of From within BB.
@@ -234,7 +235,7 @@ private:
       }
       if (!Budget)
         return nullptr;
-      std::vector<BasicBlock *> Preds = BB->predecessors();
+      BlockRange Preds = DT.predecessors(BB);
       if (Preds.size() != 1)
         return nullptr;
       BB = Preds.front();
@@ -254,14 +255,14 @@ private:
     };
     std::vector<Frame> Stack;
     Stack.push_back({Root, 0, UndoLog.size()});
-    visitBlock(F, AA, Root);
+    visitBlock(F, DT, AA, Root);
     while (!Stack.empty()) {
       Frame &Top = Stack.back();
       const auto &Kids = DT.getChildren(Top.BB);
       if (Top.NextChild < Kids.size()) {
         BasicBlock *Child = Kids[Top.NextChild++];
         Stack.push_back({Child, 0, UndoLog.size()});
-        visitBlock(F, AA, Child);
+        visitBlock(F, DT, AA, Child);
         continue;
       }
       // Unwind scope.
@@ -283,7 +284,8 @@ private:
     Table[K] = V;
   }
 
-  void visitBlock(Function &F, const AliasAnalysis &AA, BasicBlock *BB) {
+  void visitBlock(Function &F, const DominatorTree &DT,
+                  const AliasAnalysis &AA, BasicBlock *BB) {
     Context &Ctx = F.getParent()->getContext();
 
     // φ coalescing: two φs over identical (block, VN) incoming sets merge.
@@ -317,7 +319,8 @@ private:
           continue;
         }
         if (Value *Avail =
-                findAvailableLoadValue(Ld, Ld->getPointer(), Ld->getType(), AA)) {
+                findAvailableLoadValue(Ld, Ld->getPointer(), Ld->getType(), AA,
+                                       DT)) {
           replaceAndErase(Ld, Avail);
         }
         continue;

@@ -38,7 +38,9 @@ struct ValidationResult {
 
   // Statistics for the evaluation harness.
   uint64_t GraphNodes = 0;    ///< arena size after construction
-  uint64_t LiveNodes = 0;     ///< representative nodes after the run
+  /// Representative (union-find root) nodes of the whole shared graph
+  /// after the run, dead cones included.
+  uint64_t LiveNodes = 0;
   uint64_t Rewrites = 0;      ///< effective rule rewrites (class merges)
   uint64_t SharingMerges = 0; ///< merges from sharing maximization
   uint64_t Iterations = 0;    ///< rule sweeps (each followed by a share)

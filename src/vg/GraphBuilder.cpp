@@ -188,7 +188,7 @@ private:
     const LoopInfo &LI = GA.getLoopInfo();
     const Loop *L = LI.getLoopFor(BB);
     std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
-    for (const BasicBlock *P : BB->predecessors()) {
+    for (const BasicBlock *P : DT.predecessors(BB)) {
       if (!DT.isReachable(P))
         continue;
       if (InitOnly && L && L->contains(P))

@@ -128,28 +128,26 @@ uint64_t ValueGraph::hashNodeHead(const Node &N) const {
   return H;
 }
 
-uint64_t ValueGraph::hashNode(const Node &N) const {
-  uint64_t H = hashNodeHead(N);
-  for (NodeId Op : N.Ops)
-    H = hashCombine(H, Op);
-  return H;
-}
-
 bool ValueGraph::nodeEquals(const Node &A, const Node &B) {
   return scalarFieldsEqual(A, B) && A.Ops == B.Ops;
 }
 
 NodeId ValueGraph::intern(Node N) {
   // Canonicalize operand references before keying.
-  for (NodeId &Op : N.Ops)
+  uint64_t Head = hashNodeHead(N);
+  uint64_t H = Head;
+  for (NodeId &Op : N.Ops) {
     Op = find(Op);
-  std::vector<NodeId> &Bucket = HashCons[hashNode(N)];
+    H = hashCombine(H, Op);
+  }
+  std::vector<NodeId> &Bucket = HashCons[H];
   for (NodeId Candidate : Bucket)
     if (nodeEquals(Nodes[Candidate], N))
       return find(Candidate);
   NodeId Id = static_cast<NodeId>(Nodes.size());
   Nodes.push_back(std::move(N));
   Parent.push_back(Id);
+  HeadHashes.push_back(Head);
   Bucket.push_back(Id);
   return Id;
 }
@@ -257,6 +255,7 @@ NodeId ValueGraph::makeMu(Type *Ty) {
   N.Ty = Ty;
   N.Ops = {InvalidNode, InvalidNode};
   NodeId Id = static_cast<NodeId>(Nodes.size());
+  HeadHashes.push_back(hashNodeHead(N));
   Nodes.push_back(std::move(N));
   Parent.push_back(Id);
   return Id; // deliberately not hash-consed
@@ -330,93 +329,214 @@ NodeId ValueGraph::getRet(NodeId ValueOrInvalid, NodeId Mem) {
 //===----------------------------------------------------------------------===//
 // Sharing maximization
 //===----------------------------------------------------------------------===//
+//
+// One maximizeSharing call indexes the graph once — the users of every
+// class, linked per class — and from then on works in proportion to what
+// merges. A merge splices the loser's user list onto the winner's and queues
+// those users, whose canonical keys may have changed; congruence re-probes
+// only queued roots (egg-style deferred rebuilding, Willsey et al., POPL
+// 2021). Congruence and partition refinement keep the earlier root of each
+// merge, so each class ends with the representative a rescan of the whole
+// graph in id order would pick.
 
-unsigned ValueGraph::canonicalizeOrders() {
-  unsigned Changed = 0;
-  for (NodeId I = 0; I < Nodes.size(); ++I) {
-    if (find(I) != I)
-      continue;
-    Node &N = Nodes[I];
-    if (N.Kind == NodeKind::Gamma) {
-      std::vector<std::pair<NodeId, NodeId>> Branches;
-      for (unsigned K = 0; K + 1 < N.Ops.size(); K += 2)
-        Branches.emplace_back(find(N.Ops[K]), find(N.Ops[K + 1]));
-      std::sort(Branches.begin(), Branches.end());
-      std::vector<NodeId> NewOps;
-      for (auto &[C, V] : Branches) {
-        NewOps.push_back(C);
-        NewOps.push_back(V);
-      }
-      if (NewOps != N.Ops) {
-        N.Ops = std::move(NewOps);
-        ++Changed;
-      }
-      continue;
-    }
-    if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) && N.Ops.size() == 2) {
-      NodeId A = find(N.Ops[0]), B = find(N.Ops[1]);
-      if (B < A)
-        std::swap(A, B);
-      if (A != N.Ops[0] || B != N.Ops[1]) {
-        N.Ops = {A, B};
-        ++Changed;
-      }
-    }
-  }
-  return Changed;
+namespace {
+
+constexpr uint32_t NoUse = ~uint32_t(0);
+
+size_t tableCapacity(size_t Items) {
+  size_t Cap = 64;
+  while (Cap < 2 * Items)
+    Cap *= 2;
+  return Cap;
 }
 
-unsigned ValueGraph::congruencePass() {
-  // Keys must be recomputed over *current* union-find roots every iteration,
-  // unlike the frozen hash-cons table; hence the local hash buckets with
-  // root-canonicalized comparison.
-  auto CanonicalEquals = [this](const Node &A, const Node &B) {
-    if (!scalarFieldsEqual(A, B) || A.Ops.size() != B.Ops.size())
-      return false;
-    for (size_t I = 0, E = A.Ops.size(); I != E; ++I)
-      if (find(A.Ops[I]) != find(B.Ops[I]))
-        return false;
-    return true;
-  };
+} // namespace
 
-  unsigned Merges = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    canonicalizeOrders();
-    std::unordered_map<uint64_t, std::vector<NodeId>> Tab;
-    for (NodeId I = 0; I < Nodes.size(); ++I) {
-      if (find(I) != I)
+/// Working state of one maximizeSharing call.
+struct ValueGraph::SharingState {
+  explicit SharingState(const ValueGraph &G);
+
+  /// The roots that use each class, as a singly linked list of use records
+  /// per class root: UseHead[C] .. UseTail[C], chained through UseNext.
+  std::vector<uint32_t> UseHead, UseTail, UseNext;
+  std::vector<NodeId> UseUser;
+  /// μ roots when the call began, ascending.
+  std::vector<NodeId> Mus;
+
+  /// Congruence memo: open-addressed multimap from a root's canonical hash
+  /// to the root. An entry goes stale when its node stops being a root or
+  /// its key changes; probes skip stale entries, and a root whose key
+  /// changed is queued and re-inserted when it is repaired.
+  std::vector<uint64_t> MemoHash;
+  std::vector<NodeId> MemoNode;
+  size_t MemoCount = 0;
+  bool Seeded = false;
+
+  /// Roots to re-canonicalize and re-probe: users of merged-away classes.
+  std::vector<NodeId> Dirty;
+  std::vector<uint8_t> Queued;
+
+  void memoInsert(const ValueGraph &G, uint64_t H, NodeId Id);
+};
+
+ValueGraph::SharingState::SharingState(const ValueGraph &G) {
+  const NodeId N = static_cast<NodeId>(G.Nodes.size());
+  UseHead.assign(N, NoUse);
+  UseTail.assign(N, NoUse);
+  Queued.assign(N, 0);
+  size_t Roots = 0;
+  for (NodeId U = 0; U < N; ++U) {
+    if (G.find(U) != U)
+      continue;
+    ++Roots;
+    const Node &Nd = G.Nodes[U];
+    if (Nd.Kind == NodeKind::Mu)
+      Mus.push_back(U);
+    for (NodeId Op : Nd.Ops) {
+      if (Op == InvalidNode)
         continue;
-      if (Nodes[I].Kind == NodeKind::Mu)
-        continue; // cycles handled by unification/partitioning
-      Node Probe = Nodes[I];
-      for (NodeId &Op : Probe.Ops)
-        Op = find(Op);
-      std::vector<NodeId> &Bucket = Tab[hashNode(Probe)];
-      bool Merged = false;
-      for (NodeId Candidate : Bucket) {
-        if (CanonicalEquals(Nodes[Candidate], Probe)) {
-          mergeInto(I, Candidate); // keep the earlier (smaller) id
-          ++Merges;
-          Changed = true;
-          Merged = true;
-          break;
-        }
-      }
-      if (!Merged)
-        Bucket.push_back(I);
+      NodeId C = G.find(Op);
+      uint32_t Use = static_cast<uint32_t>(UseUser.size());
+      UseUser.push_back(U);
+      UseNext.push_back(NoUse);
+      if (UseHead[C] == NoUse)
+        UseHead[C] = Use;
+      else
+        UseNext[UseTail[C]] = Use;
+      UseTail[C] = Use;
     }
+  }
+  MemoHash.resize(tableCapacity(Roots));
+  MemoNode.assign(MemoHash.size(), InvalidNode);
+}
+
+void ValueGraph::SharingState::memoInsert(const ValueGraph &G, uint64_t H,
+                                          NodeId Id) {
+  if (2 * (MemoCount + 1) > MemoNode.size()) {
+    // Grow, dropping entries whose node is no longer a root.
+    std::vector<uint64_t> Hashes = std::move(MemoHash);
+    std::vector<NodeId> Ids = std::move(MemoNode);
+    MemoHash.assign(tableCapacity(2 * (MemoCount + 1)), 0);
+    MemoNode.assign(MemoHash.size(), InvalidNode);
+    MemoCount = 0;
+    for (size_t Slot = 0; Slot != Ids.size(); ++Slot)
+      if (Ids[Slot] != InvalidNode && G.find(Ids[Slot]) == Ids[Slot])
+        memoInsert(G, Hashes[Slot], Ids[Slot]);
+  }
+  const size_t Mask = MemoNode.size() - 1;
+  size_t Slot = H & Mask;
+  while (MemoNode[Slot] != InvalidNode)
+    Slot = (Slot + 1) & Mask;
+  MemoHash[Slot] = H;
+  MemoNode[Slot] = Id;
+  ++MemoCount;
+}
+
+bool ValueGraph::shareMerge(SharingState &S, NodeId From, NodeId Into) {
+  NodeId Loser = find(From), Winner = find(Into);
+  if (!mergeInto(Loser, Winner))
+    return false;
+  // The users of the merged-away class now name a different operand root:
+  // their canonical order and key may have changed.
+  for (uint32_t U = S.UseHead[Loser]; U != NoUse; U = S.UseNext[U]) {
+    NodeId User = S.UseUser[U];
+    if (!S.Queued[User] && Nodes[User].Kind != NodeKind::Mu) {
+      S.Queued[User] = 1;
+      S.Dirty.push_back(User);
+    }
+  }
+  if (S.UseHead[Loser] != NoUse) {
+    if (S.UseHead[Winner] == NoUse)
+      S.UseHead[Winner] = S.UseHead[Loser];
+    else
+      S.UseNext[S.UseTail[Winner]] = S.UseHead[Loser];
+    S.UseTail[Winner] = S.UseTail[Loser];
+  }
+  return true;
+}
+
+void ValueGraph::canonicalizeNode(NodeId Id) {
+  Node &N = Nodes[Id];
+  if (N.Kind == NodeKind::Gamma) {
+    std::vector<NodeId> &Ops = N.Ops;
+    for (NodeId &Op : Ops)
+      Op = find(Op);
+    // Insertion sort of the (cond, value) pairs: γs have few branches.
+    for (size_t I = 2; I + 1 < Ops.size(); I += 2)
+      for (size_t J = I; J >= 2 && std::make_pair(Ops[J], Ops[J + 1]) <
+                                       std::make_pair(Ops[J - 2], Ops[J - 1]);
+           J -= 2) {
+        std::swap(Ops[J], Ops[J - 2]);
+        std::swap(Ops[J + 1], Ops[J - 1]);
+      }
+    return;
+  }
+  if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) && N.Ops.size() == 2) {
+    NodeId A = find(N.Ops[0]), B = find(N.Ops[1]);
+    if (B < A)
+      std::swap(A, B);
+    N.Ops[0] = A;
+    N.Ops[1] = B;
+  }
+}
+
+unsigned ValueGraph::repairRoot(SharingState &S, NodeId Id) {
+  if (Nodes[Id].Kind == NodeKind::Mu)
+    return 0; // cycles are unification's and partitioning's business
+  canonicalizeNode(Id);
+  const Node &N = Nodes[Id];
+  uint64_t H = HeadHashes[Id];
+  for (NodeId Op : N.Ops)
+    H = hashCombine(H, find(Op));
+
+  const size_t Mask = S.MemoNode.size() - 1;
+  for (size_t Slot = H & Mask; S.MemoNode[Slot] != InvalidNode;
+       Slot = (Slot + 1) & Mask) {
+    NodeId C = S.MemoNode[Slot];
+    if (S.MemoHash[Slot] != H || C == Id || find(C) != C)
+      continue;
+    const Node &NC = Nodes[C];
+    if (!scalarFieldsEqual(NC, N) || NC.Ops.size() != N.Ops.size())
+      continue;
+    bool Congruent = true;
+    for (size_t K = 0, E = N.Ops.size(); K != E && Congruent; ++K)
+      Congruent = find(NC.Ops[K]) == find(N.Ops[K]);
+    if (!Congruent)
+      continue;
+    shareMerge(S, std::max(C, Id), std::min(C, Id));
+    if (C > Id) // Id survives under the key C was filed with
+      S.memoInsert(*this, H, Id);
+    return 1;
+  }
+  S.memoInsert(*this, H, Id);
+  return 0;
+}
+
+unsigned ValueGraph::congruencePass(SharingState &S) {
+  unsigned Merges = 0;
+  if (!S.Seeded) {
+    // Hash every root once, in id order.
+    S.Seeded = true;
+    for (NodeId I = 0; I < Nodes.size(); ++I)
+      if (find(I) == I && !S.Queued[I])
+        Merges += repairRoot(S, I);
+  }
+  while (!S.Dirty.empty()) {
+    NodeId Id = S.Dirty.back();
+    S.Dirty.pop_back();
+    S.Queued[Id] = 0;
+    if (find(Id) == Id)
+      Merges += repairRoot(S, Id);
   }
   return Merges;
 }
 
-unsigned ValueGraph::muUnificationPass() {
-  // Gather μ roots in deterministic order.
+unsigned ValueGraph::muUnificationPass(SharingState &S) {
+  // μ roots in deterministic (id) order.
   std::vector<NodeId> Mus;
-  for (NodeId I = 0; I < Nodes.size(); ++I)
-    if (find(I) == I && Nodes[I].Kind == NodeKind::Mu)
-      Mus.push_back(I);
+  for (NodeId M : S.Mus)
+    if (find(M) == M)
+      Mus.push_back(M);
 
   unsigned Merges = 0;
   for (unsigned A = 0; A < Mus.size(); ++A) {
@@ -435,7 +555,7 @@ unsigned ValueGraph::muUnificationPass() {
       std::set<std::pair<NodeId, NodeId>> Assumed;
       if (unify(X, Y, Assumed, 0)) {
         for (auto &[P, Q] : Assumed)
-          Merges += mergeInto(std::max(P, Q), std::min(P, Q));
+          Merges += shareMerge(S, std::max(P, Q), std::min(P, Q));
       }
     }
   }
@@ -494,126 +614,165 @@ bool ValueGraph::unify(NodeId X, NodeId Y,
   return true;
 }
 
-unsigned ValueGraph::partitionRefinementPass() {
-  std::vector<NodeId> Roots;
-  for (NodeId I = 0; I < Nodes.size(); ++I)
-    if (find(I) == I)
-      Roots.push_back(I);
-  canonicalizeOrders();
+unsigned ValueGraph::partitionRefinementPass(SharingState &S) {
+  // Precondition: the graph is at a congruence fixpoint, and every cycle
+  // passes through a μ (μ nodes are the graph's only cycle breakers). Then
+  // a root that reaches no μ is its own bisimulation class, by induction on
+  // height: a root bisimilar to it has the same head and, positionally, the
+  // same operand roots, so the two are congruent and therefore one root.
+  // Only the roots that reach a μ are refined; every other root is a fixed
+  // singleton class. They are found by walking the use lists backwards
+  // from the μ roots. (Were a cycle to avoid every μ, its roots would just
+  // stay unmerged: merging less is never unsound.)
+  std::vector<uint32_t> Pos(Nodes.size(), ~0u);
+  std::vector<NodeId> Refined;
+  for (NodeId M : S.Mus)
+    if (find(M) == M) {
+      Pos[M] = 0;
+      Refined.push_back(M);
+    }
+  for (size_t K = 0; K < Refined.size(); ++K)
+    for (uint32_t U = S.UseHead[Refined[K]]; U != NoUse; U = S.UseNext[U]) {
+      NodeId R = find(S.UseUser[U]);
+      if (Pos[R] == ~0u) {
+        Pos[R] = 0;
+        Refined.push_back(R);
+      }
+    }
+  if (Refined.empty())
+    return 0;
+  std::sort(Refined.begin(), Refined.end());
+  const uint32_t NR = static_cast<uint32_t>(Refined.size());
+  for (uint32_t K = 0; K != NR; ++K)
+    Pos[Refined[K]] = K;
 
-  // Initial partition: head payload (kind, op, pred, type, scalars, arity),
-  // bucketed by the same structural hash the hash-cons table and the
-  // congruence pass use; collisions resolve by field equality. Class ids are
-  // assigned first-seen in root (ascending NodeId) order, so the partition
-  // is deterministic.
-  std::vector<unsigned> Class(Nodes.size(), 0);
-  unsigned NumClasses = 0;
-  {
-    std::unordered_map<uint64_t, std::vector<NodeId>> Heads;
-    for (NodeId I : Roots) {
-      const Node &N = Nodes[I];
-      std::vector<NodeId> &Bucket = Heads[hashNodeHead(N)];
-      bool Found = false;
-      for (NodeId Rep : Bucket) {
-        const Node &R = Nodes[Rep];
-        if (scalarFieldsEqual(R, N) && R.Ops.size() == N.Ops.size()) {
-          Class[I] = Class[Rep];
-          Found = true;
-          break;
-        }
+  // Flat signatures, reused by every round: root K's signature is
+  // Sig[SigBegin[K] .. SigBegin[K + 1]) = (its class, its operands'
+  // classes). Operand slots are resolved once into OpRef: a refined root
+  // by its position (< 2^32, looked up in Class each round), any other
+  // root by a fixed code above 2^32, a missing μ operand by ~0.
+  std::vector<size_t> SigBegin(NR + 1, 0);
+  for (uint32_t K = 0; K != NR; ++K)
+    SigBegin[K + 1] = SigBegin[K] + 1 + Nodes[Refined[K]].Ops.size();
+  std::vector<uint64_t> OpRef(SigBegin[NR]), Sig(SigBegin[NR]);
+  for (uint32_t K = 0; K != NR; ++K) {
+    const std::vector<NodeId> &Ops = Nodes[Refined[K]].Ops;
+    for (size_t I = 0; I != Ops.size(); ++I) {
+      uint64_t &Ref = OpRef[SigBegin[K] + 1 + I];
+      if (Ops[I] == InvalidNode) {
+        Ref = ~uint64_t(0);
+        continue;
       }
-      if (!Found) {
-        Class[I] = NumClasses++;
-        Bucket.push_back(I);
-      }
+      NodeId R = find(Ops[I]);
+      Ref = Pos[R] != ~0u ? Pos[R] : (uint64_t(1) << 32) | R;
     }
   }
 
-  // Refine until stable: split classes by the class vector of their
-  // operands. Signatures are hash-bucketed like the initial partition; each
-  // new class is a subset of an old one (the signature leads with the old
-  // class), so the partition is stable exactly when the class count stops
-  // growing.
-  while (true) {
-    struct SigRep {
-      const std::vector<unsigned> *Sig;
-      unsigned Class;
-    };
-    std::unordered_map<uint64_t, std::vector<SigRep>> Sigs;
-    std::vector<std::vector<unsigned>> SigStore(Roots.size());
-    std::vector<unsigned> NewClass(Nodes.size(), 0);
-    unsigned NewCount = 0;
-    for (size_t RI = 0; RI < Roots.size(); ++RI) {
-      NodeId I = Roots[RI];
-      std::vector<unsigned> &Sig = SigStore[RI];
-      Sig.push_back(Class[I]);
-      for (NodeId Op : Nodes[I].Ops)
-        Sig.push_back(Op == InvalidNode ? ~0u : Class[find(Op)]);
-      uint64_t H = hashCombine(0x9e3779b9, Sig.size());
-      for (unsigned S : Sig)
-        H = hashCombine(H, S);
-      std::vector<SigRep> &Bucket = Sigs[H];
-      bool Found = false;
-      for (const SigRep &Rep : Bucket) {
-        if (*Rep.Sig == Sig) {
-          NewClass[I] = Rep.Class;
-          Found = true;
+  // Class ids are assigned first-seen in id order; each class is found by
+  // hash through an open-addressed table of its first member.
+  std::vector<unsigned> Class(NR), NewClass(NR);
+  std::vector<uint64_t> Hash(NR);
+  std::vector<uint32_t> Table(tableCapacity(NR));
+  const size_t Mask = Table.size() - 1;
+  auto Classify = [&](auto Equal) {
+    std::fill(Table.begin(), Table.end(), ~0u);
+    unsigned Count = 0;
+    for (uint32_t K = 0; K != NR; ++K) {
+      size_t Slot = Hash[K] & Mask;
+      while (true) {
+        uint32_t Rep = Table[Slot];
+        if (Rep == ~0u) {
+          Table[Slot] = K;
+          NewClass[K] = Count++;
           break;
         }
-      }
-      if (!Found) {
-        NewClass[I] = NewCount++;
-        Bucket.push_back({&Sig, NewClass[I]});
+        if (Hash[Rep] == Hash[K] && Equal(Rep, K)) {
+          NewClass[K] = NewClass[Rep];
+          break;
+        }
+        Slot = (Slot + 1) & Mask;
       }
     }
+    return Count;
+  };
+
+  // Initial partition: head payload (kind, op, pred, type, scalars, arity).
+  for (uint32_t K = 0; K != NR; ++K)
+    Hash[K] = HeadHashes[Refined[K]];
+  unsigned NumClasses = Classify([&](uint32_t A, uint32_t B) {
+    const Node &NA = Nodes[Refined[A]], &NB = Nodes[Refined[B]];
+    return scalarFieldsEqual(NA, NB) && NA.Ops.size() == NB.Ops.size();
+  });
+  Class.swap(NewClass);
+
+  // Refine until stable: split classes by the classes of their operands.
+  // Each new class is a subset of an old one (the signature leads with the
+  // old class), so the partition is stable exactly when the class count
+  // stops growing.
+  while (true) {
+    for (uint32_t K = 0; K != NR; ++K) {
+      size_t B = SigBegin[K], E = SigBegin[K + 1];
+      Sig[B] = Class[K];
+      for (size_t I = B + 1; I != E; ++I)
+        Sig[I] = OpRef[I] < (uint64_t(1) << 32) ? Class[OpRef[I]] : OpRef[I];
+      uint64_t H = hashCombine(0x9e3779b9, E - B);
+      for (size_t I = B; I != E; ++I)
+        H = hashCombine(H, Sig[I]);
+      Hash[K] = H;
+    }
+    unsigned NewCount = Classify([&](uint32_t A, uint32_t B) {
+      const uint64_t *Base = Sig.data();
+      return std::equal(Base + SigBegin[A], Base + SigBegin[A + 1],
+                        Base + SigBegin[B], Base + SigBegin[B + 1]);
+    });
     bool Stable = NewCount == NumClasses;
-    Class = std::move(NewClass);
+    Class.swap(NewClass);
     NumClasses = NewCount;
     if (Stable)
       break;
   }
 
-  // Merge same-class roots (into the smallest id for determinism).
+  // Merge same-class roots into the class's smallest id.
   unsigned Merges = 0;
   std::vector<NodeId> Leader(NumClasses, InvalidNode);
-  for (NodeId I : Roots) {
-    NodeId &L = Leader[Class[I]];
+  for (uint32_t K = 0; K != NR; ++K) {
+    NodeId &L = Leader[Class[K]];
     if (L == InvalidNode) {
-      L = I;
+      L = Refined[K];
     } else {
-      mergeInto(I, L);
+      shareMerge(S, Refined[K], L);
       ++Merges;
     }
   }
   return Merges;
 }
 
+unsigned ValueGraph::simpleRounds(SharingState &S) {
+  unsigned Total = 0;
+  while (true) {
+    unsigned Merges = congruencePass(S) + muUnificationPass(S);
+    Total += Merges;
+    if (Merges == 0)
+      return Total;
+  }
+}
+
 unsigned ValueGraph::maximizeSharing(SharingStrategy Strategy) {
+  SharingState S(*this);
   unsigned Total = 0;
   switch (Strategy) {
-  case SharingStrategy::Simple: {
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      unsigned C = congruencePass();
-      unsigned M = muUnificationPass();
-      Total += C + M;
-      Changed = (C + M) > 0;
-    }
+  case SharingStrategy::Simple:
+    return simpleRounds(S);
+  case SharingStrategy::Partition:
+    Total += congruencePass(S);
+    Total += partitionRefinementPass(S);
+    Total += congruencePass(S);
     return Total;
-  }
-  case SharingStrategy::Partition: {
-    Total += congruencePass();
-    Total += partitionRefinementPass();
-    Total += congruencePass();
+  case SharingStrategy::Combined:
+    Total += simpleRounds(S);
+    Total += partitionRefinementPass(S);
+    Total += congruencePass(S);
     return Total;
-  }
-  case SharingStrategy::Combined: {
-    Total += maximizeSharing(SharingStrategy::Simple);
-    Total += partitionRefinementPass();
-    Total += congruencePass();
-    return Total;
-  }
   }
   return Total;
 }

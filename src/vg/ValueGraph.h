@@ -147,11 +147,15 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Runs one round of sharing maximization; returns the number of merges.
+  /// Afterwards no two non-μ roots are congruent, and every root γ's
+  /// branches and root commutative operator's operands are sorted by
+  /// current roots. Congruence and partition refinement merge the later of
+  /// two roots into the earlier one.
+  ///
+  /// Cost: one pass over the graph indexes the users of every class; after
+  /// that, congruence re-probes only the users of merged-away classes, and
+  /// partition refinement runs over the roots that reach a μ.
   unsigned maximizeSharing(SharingStrategy Strategy);
-
-  /// Canonically re-sorts every Gamma's branches (by current roots) and
-  /// commutative operators' operands. Returns number of nodes changed.
-  unsigned canonicalizeOrders();
 
   //===------------------------------------------------------------------===//
   // Cone queries used by rewrite rules
@@ -185,12 +189,11 @@ public:
 private:
   NodeId intern(Node N);
 
-  /// Structural hash of \p N over its (already canonicalized) operand list;
-  /// the hash-cons key. Collisions are resolved by structural equality.
-  uint64_t hashNode(const Node &N) const;
   /// Hash of the head payload only (kind, op, pred, type, scalars, arity) —
-  /// the operand *contents* are excluded. Bucket key for the partition
-  /// refinement pass's initial partition.
+  /// the operand *contents* are excluded. Combined with the operand roots it
+  /// is the hash-cons and congruence key; alone it is the bucket key of the
+  /// partition refinement pass's initial partition. Cached per node in
+  /// HeadHashes, since a node's head never changes.
   uint64_t hashNodeHead(const Node &N) const;
   /// Field-by-field structural equality against an interned node.
   static bool nodeEquals(const Node &A, const Node &B);
@@ -200,9 +203,30 @@ private:
   bool unify(NodeId X, NodeId Y, std::set<std::pair<NodeId, NodeId>> &Assumed,
              unsigned Depth) const;
 
-  unsigned congruencePass();
-  unsigned muUnificationPass();
-  unsigned partitionRefinementPass();
+  /// Use index, congruence memo and repair worklist of one
+  /// maximizeSharing call (defined in ValueGraph.cpp).
+  struct SharingState;
+
+  /// mergeInto for the sharing passes: also queues the users of the
+  /// merged-away class for repair and hands its use list to the winner.
+  bool shareMerge(SharingState &S, NodeId From, NodeId Into);
+  /// Sorts a root γ's branches or a root commutative operator's operands
+  /// by current roots, in place; other nodes keep their operand lists.
+  void canonicalizeNode(NodeId Id);
+  /// Canonicalizes root \p Id and probes the congruence memo with it,
+  /// merging it with a congruent root (the later id into the earlier) or
+  /// filing it. Returns the number of merges (0 or 1).
+  unsigned repairRoot(SharingState &S, NodeId Id);
+
+  /// First call: hashes every root once. Every call: repairs the queued
+  /// roots until none is left. On return no two non-μ roots are congruent.
+  unsigned congruencePass(SharingState &S);
+  unsigned muUnificationPass(SharingState &S);
+  /// Bisimulation classes of the μ-reaching roots; requires a congruence
+  /// fixpoint (see the definition).
+  unsigned partitionRefinementPass(SharingState &S);
+  /// Congruence and μ unification, alternated until neither merges.
+  unsigned simpleRounds(SharingState &S);
 
   /// Arena-backed, pointer-stable node table. Interning a node must never
   /// invalidate references to existing nodes — the normalizer's rewrite
@@ -224,6 +248,7 @@ private:
   };
   NodeTable Nodes;
   mutable std::vector<NodeId> Parent;
+  std::vector<uint64_t> HeadHashes; ///< hashNodeHead of each node
   /// Structural hash -> candidate ids (collision bucket). Keys are frozen at
   /// intern time, like the interned nodes' operand lists; later union-find
   /// merges can make equal-shaped nodes miss, which the sharing-maximization

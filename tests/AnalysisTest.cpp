@@ -200,6 +200,118 @@ x:
   EXPECT_TRUE(LI.isIrreducible());
 }
 
+// Edge cases of the CFG queries: a conditional branch with both targets
+// equal, a self-loop, and predecessors that are unreachable — one placed
+// before the reachable blocks in function order, one after them.
+const char *EdgeCaseCFGSrc = R"(
+define i32 @f(i1 %c) {
+entry:
+  br i1 %c, label %x, label %x
+u1:
+  br label %y
+x:
+  br i1 %c, label %x, label %y
+y:
+  ret i32 0
+u2:
+  br i1 %c, label %y, label %y
+}
+)";
+
+std::vector<std::string> names(const std::vector<BasicBlock *> &Blocks) {
+  std::vector<std::string> Out;
+  for (const BasicBlock *BB : Blocks)
+    Out.push_back(BB->getName());
+  return Out;
+}
+
+TEST(CFG, SuccessorsListEveryTerminatorTarget) {
+  Context Ctx;
+  auto M = parseOrDie(Ctx, EdgeCaseCFGSrc);
+  Function *F = M->getFunction("f");
+  BasicBlock *Entry = blockNamed(F, "entry");
+  BasicBlock *X = blockNamed(F, "x");
+  BasicBlock *Y = blockNamed(F, "y");
+  EXPECT_TRUE(Y->successors().empty()); // ret: 0 successors
+  ASSERT_EQ(blockNamed(F, "u1")->successors().size(), 1u);
+  EXPECT_EQ(blockNamed(F, "u1")->successors().front(), Y);
+  // Both targets of `br %c, %x, %x` are listed, as the terminator has them.
+  SuccessorRange EntrySuccs = Entry->successors();
+  ASSERT_EQ(EntrySuccs.size(), 2u);
+  EXPECT_EQ(EntrySuccs[0], X);
+  EXPECT_EQ(EntrySuccs[1], X);
+  std::vector<BasicBlock *> XSuccs;
+  for (BasicBlock *Succ : X->successors())
+    XSuccs.push_back(Succ);
+  EXPECT_EQ(names(XSuccs), (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(CFG, PredecessorsInBlockOrderEachOnce) {
+  Context Ctx;
+  auto M = parseOrDie(Ctx, EdgeCaseCFGSrc);
+  Function *F = M->getFunction("f");
+  BasicBlock *Entry = blockNamed(F, "entry");
+  BasicBlock *X = blockNamed(F, "x");
+  BasicBlock *Y = blockNamed(F, "y");
+  EXPECT_TRUE(Entry->predecessors().empty());
+  // entry reaches x over two edges but is listed once; the self-loop lists
+  // x itself.
+  EXPECT_EQ(names(X->predecessors()),
+            (std::vector<std::string>{"entry", "x"}));
+  // Unreachable predecessors are listed too, in function block order; u2's
+  // two edges count once.
+  EXPECT_EQ(names(Y->predecessors()),
+            (std::vector<std::string>{"u1", "x", "u2"}));
+
+  // The dominator tree's index answers exactly the same for every
+  // reachable block, and nothing for an unreachable one.
+  DominatorTree DT(*F);
+  for (BasicBlock *BB : F->blocks()) {
+    SCOPED_TRACE(BB->getName());
+    BlockRange Indexed = DT.predecessors(BB);
+    std::vector<BasicBlock *> FromIndex(Indexed.begin(), Indexed.end());
+    if (DT.isReachable(BB))
+      EXPECT_EQ(FromIndex, BB->predecessors());
+    else
+      EXPECT_TRUE(FromIndex.empty());
+  }
+}
+
+TEST(CFG, DominatorsAndLoopsOnEdgeCaseCFG) {
+  Context Ctx;
+  auto M = parseOrDie(Ctx, EdgeCaseCFGSrc);
+  Function *F = M->getFunction("f");
+  BasicBlock *Entry = blockNamed(F, "entry");
+  BasicBlock *X = blockNamed(F, "x");
+  BasicBlock *Y = blockNamed(F, "y");
+  DominatorTree DT(*F);
+  EXPECT_EQ(names(DT.getRPO()), (std::vector<std::string>{"entry", "x", "y"}));
+  EXPECT_FALSE(DT.isReachable(blockNamed(F, "u1")));
+  EXPECT_FALSE(DT.isReachable(blockNamed(F, "u2")));
+  EXPECT_EQ(DT.getIDom(Entry), nullptr);
+  EXPECT_EQ(DT.getIDom(X), Entry);
+  // Unreachable predecessors do not weaken dominance.
+  EXPECT_EQ(DT.getIDom(Y), X);
+  EXPECT_TRUE(DT.dominates(X, Y));
+  EXPECT_FALSE(DT.dominates(Y, X));
+  EXPECT_EQ(DT.getIDom(blockNamed(F, "u1")), nullptr);
+
+  // The self-loop is a one-block loop; entry enters it over two edges, so
+  // it is the loop's only entering block but not a preheader.
+  LoopInfo LI(*F, DT);
+  EXPECT_FALSE(LI.isIrreducible());
+  ASSERT_EQ(LI.getTopLevelLoops().size(), 1u);
+  Loop *L = LI.getTopLevelLoops().front();
+  EXPECT_EQ(L->getHeader(), X);
+  EXPECT_EQ(names(L->getBlocks()), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(names(L->getLatches()), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(names(L->getEntering()), (std::vector<std::string>{"entry"}));
+  EXPECT_EQ(L->getPreheader(), nullptr);
+  EXPECT_EQ(names(L->getExitingBlocks()), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(names(L->getExitBlocks()), (std::vector<std::string>{"y"}));
+  EXPECT_EQ(LI.getLoopFor(Y), nullptr);
+}
+
 TEST(Alias, DistinctAllocasNoAlias) {
   Context Ctx;
   auto M = parseOrDie(Ctx, R"(

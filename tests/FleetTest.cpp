@@ -401,7 +401,12 @@ TEST(FleetTest, KilledWorkerJobRequeuedAndCompleted) {
   EXPECT_EQ(C.JobsCompleted, 1u);
   EXPECT_LE(C.JobsRequeued, 1u); // the crash costs at most the job in flight
   EXPECT_EQ(C.JobsFailed, 0u);
-  EXPECT_GE(Router.workerRestarts() + C.JobsRequeued, 1u);
+  // The kill is always observed: the job was requeued, or — when the
+  // worker had already streamed the whole job before the signal landed —
+  // the monitor reaps and respawns it, which it does asynchronously.
+  EXPECT_TRUE(eventually([&] {
+    return Router.workerRestarts() + Router.counters().JobsRequeued >= 1;
+  }));
   Router.stop();
 }
 

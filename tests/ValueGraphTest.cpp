@@ -6,9 +6,19 @@
 
 #include "vg/ValueGraph.h"
 
+#include "ir/Cloning.h"
 #include "ir/Context.h"
+#include "ir/Module.h"
+#include "opt/Pass.h"
+#include "vg/GraphBuilder.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
 
 using namespace llvmmd;
 
@@ -20,6 +30,126 @@ struct GraphFixture : ::testing::Test {
   Type *I32 = Ctx.getInt32Ty();
   Type *I1 = Ctx.getInt1Ty();
 };
+
+//===----------------------------------------------------------------------===//
+// Sharing oracle: brute-force definitions of what maximizeSharing promises.
+//===----------------------------------------------------------------------===//
+
+std::vector<NodeId> rootsOf(const ValueGraph &G) {
+  std::vector<NodeId> Roots;
+  for (NodeId I = 0; I < G.size(); ++I)
+    if (G.find(I) == I)
+      Roots.push_back(I);
+  return Roots;
+}
+
+bool sameHead(const Node &A, const Node &B) {
+  return A.Kind == B.Kind && A.Op == B.Op && A.Pred == B.Pred &&
+         A.Ty == B.Ty && A.IntVal == B.IntVal &&
+         std::memcmp(&A.FloatVal, &B.FloatVal, sizeof(double)) == 0 &&
+         A.Str == B.Str && A.Ops.size() == B.Ops.size();
+}
+
+/// Operand classes of \p N in a form where congruent nodes compare equal:
+/// γ (cond, value) pairs and commutative operands as sorted multisets,
+/// anything else positionally.
+std::vector<NodeId> operandClasses(const ValueGraph &G, const Node &N) {
+  std::vector<NodeId> Ops;
+  for (NodeId Op : N.Ops)
+    Ops.push_back(G.find(Op));
+  if (N.Kind == NodeKind::Gamma) {
+    std::vector<std::pair<NodeId, NodeId>> Pairs;
+    for (size_t K = 0; K + 1 < Ops.size(); K += 2)
+      Pairs.emplace_back(Ops[K], Ops[K + 1]);
+    std::sort(Pairs.begin(), Pairs.end());
+    Ops.clear();
+    for (auto &[C, V] : Pairs) {
+      Ops.push_back(C);
+      Ops.push_back(V);
+    }
+  } else if (N.Kind == NodeKind::Op && isCommutativeOp(N.Op) &&
+             Ops.size() == 2) {
+    std::sort(Ops.begin(), Ops.end());
+  }
+  return Ops;
+}
+
+/// Number of pairs of distinct non-μ roots that are congruent, by
+/// comparing every pair.
+unsigned countCongruentPairs(const ValueGraph &G) {
+  std::vector<NodeId> Roots = rootsOf(G);
+  unsigned Pairs = 0;
+  for (size_t A = 0; A < Roots.size(); ++A) {
+    const Node &NA = G.node(Roots[A]);
+    if (NA.Kind == NodeKind::Mu)
+      continue;
+    std::vector<NodeId> OpsA = operandClasses(G, NA);
+    for (size_t B = A + 1; B < Roots.size(); ++B) {
+      const Node &NB = G.node(Roots[B]);
+      if (sameHead(NA, NB) && operandClasses(G, NB) == OpsA)
+        ++Pairs;
+    }
+  }
+  return Pairs;
+}
+
+/// Number of pairs of distinct bisimilar roots: the coarsest stable
+/// partition of *all* roots by head and positional operand classes,
+/// refined naively over the whole graph.
+unsigned countBisimilarPairs(const ValueGraph &G) {
+  std::vector<NodeId> Roots = rootsOf(G);
+  std::map<NodeId, unsigned> Class;
+  unsigned NumClasses = 0;
+  {
+    std::vector<NodeId> Reps;
+    for (NodeId R : Roots) {
+      auto It = std::find_if(Reps.begin(), Reps.end(), [&](NodeId Rep) {
+        return sameHead(G.node(Rep), G.node(R));
+      });
+      if (It == Reps.end()) {
+        Class[R] = NumClasses++;
+        Reps.push_back(R);
+      } else {
+        Class[R] = Class[*It];
+      }
+    }
+  }
+  while (true) {
+    std::map<std::vector<uint64_t>, unsigned> Sigs;
+    std::map<NodeId, unsigned> Next;
+    for (NodeId R : Roots) {
+      std::vector<uint64_t> Sig{Class[R]};
+      for (NodeId Op : G.node(R).Ops)
+        Sig.push_back(Op == InvalidNode ? ~uint64_t(0) : Class[G.find(Op)]);
+      Next[R] = Sigs.emplace(Sig, static_cast<unsigned>(Sigs.size()))
+                    .first->second;
+    }
+    bool Stable = Sigs.size() == NumClasses;
+    Class = std::move(Next);
+    NumClasses = static_cast<unsigned>(Sigs.size());
+    if (Stable)
+      break;
+  }
+  return static_cast<unsigned>(Roots.size()) - NumClasses;
+}
+
+/// Checks the postconditions of maximizeSharing(\p Strategy) on \p G,
+/// whose nodes were all roots before the call: no two non-μ roots are
+/// congruent; after partitioning, no two roots are bisimilar; each class is
+/// represented by its smallest id; and another round merges nothing.
+void expectMaximallyShared(ValueGraph &G, SharingStrategy Strategy) {
+  EXPECT_EQ(countCongruentPairs(G), 0u);
+  if (Strategy != SharingStrategy::Simple)
+    EXPECT_EQ(countBisimilarPairs(G), 0u);
+  for (NodeId I = 0; I < G.size(); ++I)
+    ASSERT_LE(G.find(I), I) << "class of n" << I
+                            << " is not represented by its smallest id";
+  EXPECT_EQ(G.maximizeSharing(Strategy), 0u);
+}
+
+const SharingStrategy AllStrategies[] = {SharingStrategy::Simple,
+                                         SharingStrategy::Partition,
+                                         SharingStrategy::Combined};
 
 } // namespace
 
@@ -225,4 +355,128 @@ TEST_F(GraphFixture, DumpDotRendersCone) {
   (void)Unrelated;
   std::string Dot2 = G.dumpDot({Eta});
   EXPECT_EQ(Dot2.find("mul"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Sharing maximization against the brute-force oracle
+//===----------------------------------------------------------------------===//
+
+TEST(SharingOracle, EveryTable1PairIsMaximallyShared) {
+  // The built graph of every (original, optimized) pair of the 12 Table-1
+  // profiles, shared once with each strategy.
+  Context Ctx;
+  unsigned Pairs = 0, Merged = 0;
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    std::unique_ptr<Module> Orig = generateBenchmark(Ctx, P);
+    std::unique_ptr<Module> Opt = cloneModule(*Orig);
+    PassManager PM;
+    ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+    for (Function *FO : Opt->definedFunctions()) {
+      if (!PM.run(*FO))
+        continue;
+      const Function &FA = *Orig->getFunction(FO->getName());
+      for (SharingStrategy Strategy : AllStrategies) {
+        SCOPED_TRACE(FO->getName() + " strategy " +
+                     std::to_string(static_cast<int>(Strategy)));
+        ValueGraph G;
+        if (!buildValueGraph(G, FA).Supported ||
+            !buildValueGraph(G, *FO).Supported)
+          break;
+        Pairs += Strategy == SharingStrategy::Simple;
+        Merged += G.maximizeSharing(Strategy);
+        expectMaximallyShared(G, Strategy);
+        if (HasFatalFailure())
+          return;
+      }
+    }
+  }
+  // Not vacuous: hundreds of pairs, and sharing has work to do on them.
+  EXPECT_GT(Pairs, 400u);
+  EXPECT_GT(Merged, 1000u);
+}
+
+TEST_F(GraphFixture, OnlyPartitioningMergesCyclesWithDistinctInits) {
+  // X = μ(Y, X + 1) and Y = μ(X, Y + 2), twice. Each μ's initial value is
+  // the other μ of its copy, so no two μs start from the same class and
+  // unification never pairs them; the two copies are still bisimilar.
+  NodeId One = G.getConstInt(I32, 1), Two = G.getConstInt(I32, 2);
+  auto MakeCopy = [&] {
+    NodeId X = G.makeMu(I32), Y = G.makeMu(I32);
+    G.setMuOperands(X, Y, G.getOp(Opcode::Add, I32, {X, One}));
+    G.setMuOperands(Y, X, G.getOp(Opcode::Add, I32, {Y, Two}));
+    return std::make_pair(X, Y);
+  };
+  auto [X1, Y1] = MakeCopy();
+  auto [X2, Y2] = MakeCopy();
+  // A non-μ user of each copy: its operands reach a μ, so partitioning
+  // refines it too.
+  NodeId P = G.getParam(0, I32);
+  NodeId U1 = G.getOp(Opcode::Sub, I32, {X1, P});
+  NodeId U2 = G.getOp(Opcode::Sub, I32, {X2, P});
+  // And one that differs: same shape, other constant.
+  NodeId V2 = G.getOp(Opcode::Sub, I32, {X2, One});
+
+  EXPECT_EQ(G.maximizeSharing(SharingStrategy::Simple), 0u);
+  EXPECT_NE(G.find(X1), G.find(X2));
+
+  EXPECT_EQ(G.maximizeSharing(SharingStrategy::Combined), 5u);
+  EXPECT_EQ(G.find(X2), X1);
+  EXPECT_EQ(G.find(Y2), Y1);
+  EXPECT_NE(G.find(X1), G.find(Y1)) << "different strides stay apart";
+  EXPECT_EQ(G.find(U2), U1);
+  EXPECT_NE(G.find(V2), G.find(U1));
+  expectMaximallyShared(G, SharingStrategy::Combined);
+}
+
+TEST_F(GraphFixture, PartitioningIsPositionalUnificationIsNot) {
+  // μ(0, X1 + C) and μ(0, X2 + C), with C created between the two μs:
+  // canonical operand order puts X1 before C but C before X2, so the two
+  // bisimilar cycles disagree positionally. Unification backtracks over
+  // the commutative order and merges them; partition refinement compares
+  // positions and keeps them apart.
+  NodeId Zero = G.getConstInt(I32, 0);
+  NodeId X1 = G.makeMu(I32);
+  NodeId C = G.getConstInt(I32, 7);
+  NodeId X2 = G.makeMu(I32);
+  NodeId Add1 = G.getOp(Opcode::Add, I32, {X1, C});
+  NodeId Add2 = G.getOp(Opcode::Add, I32, {X2, C});
+  G.setMuOperands(X1, Zero, Add1);
+  G.setMuOperands(X2, Zero, Add2);
+  EXPECT_EQ(G.node(Add1).Ops[0], X1);
+  EXPECT_EQ(G.node(Add2).Ops[0], C);
+
+  EXPECT_EQ(G.maximizeSharing(SharingStrategy::Partition), 0u);
+  EXPECT_NE(G.find(X1), G.find(X2));
+
+  EXPECT_EQ(G.maximizeSharing(SharingStrategy::Simple), 2u);
+  EXPECT_EQ(G.find(X2), X1);
+  EXPECT_EQ(G.find(Add2), Add1);
+  // The merged add is re-sorted by its new operand roots.
+  EXPECT_EQ(G.node(Add1).Ops, (std::vector<NodeId>{X1, C}));
+  expectMaximallyShared(G, SharingStrategy::Combined);
+}
+
+TEST_F(GraphFixture, MuFreeGraphSharesByCongruenceAlone) {
+  // Two parallel expression trees whose leaves are merged: congruence
+  // closes upward through γ branches and commutative operands listed in
+  // different orders; partitioning has no μ to start from.
+  NodeId A = G.getParam(0, I32), B = G.getParam(1, I32);
+  NodeId K = G.getParam(2, I32), Cond = G.getParam(3, I1);
+  NodeId NotCond = G.getOp(Opcode::Xor, I1, {Cond, G.getConstBool(I1, true)});
+  NodeId MA = G.getOp(Opcode::Mul, I32, {A, K});
+  NodeId MB = G.getOp(Opcode::Mul, I32, {K, B});
+  NodeId GA = G.getGamma(I32, {{Cond, MA}, {NotCond, K}});
+  NodeId GB = G.getGamma(I32, {{NotCond, K}, {Cond, MB}});
+  NodeId RA = G.getOp(Opcode::Sub, I32, {GA, A});
+  NodeId RB = G.getOp(Opcode::Sub, I32, {GB, B});
+  G.mergeInto(B, A);
+
+  EXPECT_EQ(G.maximizeSharing(SharingStrategy::Partition), 3u);
+  EXPECT_EQ(G.find(MB), MA);
+  EXPECT_EQ(G.find(GB), GA);
+  EXPECT_EQ(G.find(RB), RA);
+  EXPECT_EQ(countCongruentPairs(G), 0u);
+  EXPECT_EQ(countBisimilarPairs(G), 0u);
+  for (SharingStrategy Strategy : AllStrategies)
+    EXPECT_EQ(G.maximizeSharing(Strategy), 0u);
 }
