@@ -198,8 +198,7 @@ void BM_SnapshotReclone(benchmark::State &State) {
   const Function *Src = Pristine->definedFunctions().front();
   for (auto _ : State) {
     F->dropBody();
-    std::map<const Value *, Value *> VMap;
-    cloneFunctionBody(*Src, *F, VMap);
+    cloneFunctionBody(*Src, *F);
     remapModuleReferences(*F, *M);
     benchmark::DoNotOptimize(F);
   }

@@ -3,11 +3,14 @@
 #
 # Usage: scripts/check.sh [--tsan|--asan|--warm|--triage|--serve|--fleet|--llvm|--bench|--obs] [build-dir]
 #
-#   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks,
-#              and no Table-1 function may hit the iteration budget
+#   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks
+#              (the 12-profile Table-1 suite JSON byte-identical at 1 and 4
+#              threads, which puts concurrent module loading and per-task
+#              body cloning under the check on every module), and no
+#              Table-1 function may hit the iteration budget
 #   --tsan     ThreadSanitizer build (CMake preset "tsan") running the
-#              engine + concurrent-interning + triage + server tests — the
-#              same job CI runs
+#              engine + cloning + concurrent-interning + loader + triage +
+#              server tests — the same job CI runs
 #   --asan     AddressSanitizer+UBSan build (preset "asan") running the
 #              full test suite — ditto
 #   --warm     local reproduction of the CI warm-cache job: two suite runs
@@ -623,12 +626,19 @@ run_bv --suite sqlite,hmmer --threads 1 --quiet --json "$BUILD_DIR/check_s1.json
 run_bv --suite sqlite,hmmer --threads 8 --quiet --json "$BUILD_DIR/check_s8.json"
 cmp "$BUILD_DIR/check_s1.json" "$BUILD_DIR/check_s8.json"
 
-# Termination gate: over the whole 12-profile Table-1 suite, normalization
-# must stop on merged roots or on a sweep that changed nothing, never on the
-# iteration budget. Two rules that undo each other show up here as
-# "iteration budget exhausted". The function count keeps the grep honest.
+# The whole 12-profile Table-1 suite must be byte-identical at 1 and 4
+# threads too: modules are generated concurrently into one Context and each
+# function body is cloned inside its optimize task, so this covers ingest
+# and cloning on every module, not just the two above.
 TABLE1=sqlite,bzip2,gcc,h264ref,hmmer,lbm,libquantum,mcf,milc,perlbench,sjeng,sphinx
+run_bv --suite "$TABLE1" --threads 1 --quiet --json "$BUILD_DIR/check_table1_t1.json"
 run_bv --suite "$TABLE1" --threads 4 --quiet --json "$BUILD_DIR/check_table1.json"
+cmp "$BUILD_DIR/check_table1_t1.json" "$BUILD_DIR/check_table1.json"
+
+# Termination gate: over the same suite, normalization must stop on merged
+# roots or on a sweep that changed nothing, never on the iteration budget.
+# Two rules that undo each other show up here as "iteration budget
+# exhausted". The function count keeps the grep honest.
 FUNCS=$(grep -c '"reason": ' "$BUILD_DIR/check_table1.json" || true)
 if [ "$FUNCS" -lt 400 ]; then
   echo "check.sh: expected the Table-1 suite's functions, found $FUNCS" >&2

@@ -85,8 +85,9 @@ struct LoadedModule {
   std::vector<UnsupportedFunctionEntry> Unsupported;
 };
 
-/// Result of loading a batch of specs. Loading stops at the first error;
-/// `Modules` holds everything loaded before it.
+/// Result of loading a batch of specs. The first failing spec in spec order
+/// sets the error; `Modules` holds exactly the modules of the specs before
+/// it, in spec order.
 struct LoadResult {
   std::vector<LoadedModule> Modules;
   std::string Error; ///< empty on success; includes the module/file name
@@ -96,7 +97,11 @@ struct LoadResult {
   explicit operator bool() const { return Error.empty(); }
 };
 
-/// Loads every spec into \p Ctx (which must outlive the modules).
+/// Loads every spec into \p Ctx (which must outlive the modules). Texts are
+/// read on the calling thread in spec order, stopping at the first spec
+/// that cannot be read; the specs read are then parsed or generated
+/// concurrently, largest first, on a transient pool of at most one thread
+/// per spec and hardware thread. A single spec is loaded inline.
 LoadResult loadModules(Context &Ctx, const std::vector<ModuleSpec> &Specs);
 
 /// Single-spec convenience wrapper over loadModules.

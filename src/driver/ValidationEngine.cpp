@@ -19,7 +19,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <map>
 
 using namespace llvmmd;
 
@@ -39,14 +38,14 @@ ValidationResult identicalSkipResult() {
   return R;
 }
 
-/// Replaces \p Dst's body with a clone of \p Src's, remapping global and
-/// callee references into \p DstModule (Src may live in another module of
-/// the same Context).
-void restoreBody(const Function &Src, Function &Dst, Module &DstModule) {
+/// Replaces \p Dst's body with a clone of \p Src's. \p Shell maps the
+/// original module's globals and functions to the optimized module's; a
+/// stepwise snapshot already references the optimized module and passes
+/// through unchanged.
+void restoreBody(const Function &Src, Function &Dst,
+                 const ModuleCloneMap &Shell) {
   Dst.dropBody();
-  std::map<const Value *, Value *> VMap;
-  cloneFunctionBody(Src, Dst, VMap);
-  remapModuleReferences(Dst, DstModule);
+  cloneFunctionBody(Src, Dst, &Shell);
 }
 
 uint64_t nowMicroseconds(std::chrono::steady_clock::time_point Start) {
@@ -179,11 +178,16 @@ struct ValidationEngine::BatchState {
 struct ValidationEngine::ModuleRunState {
   const Module *Orig = nullptr;
   Module *Opt = nullptr;
+  /// Orig's globals and functions -> Opt's. Built before phase 1 and only
+  /// read afterwards (body clones, reverts), so tasks share it.
+  ModuleCloneMap Shell;
   bool Stepwise = false;
   /// Stepwise: shared per-pass wall-time accumulators (one slot per
   /// pipeline pass, owned by runModules). Concurrent optimize tasks
   /// fetch_add relaxed; read after the phase barrier.
   std::atomic<uint64_t> *PassTimesUs = nullptr;
+  /// Opt's defined functions and their originals, paired by position.
+  /// Until its phase-1 task runs, Defined[i] is an empty shell.
   std::vector<Function *> Defined;
   std::vector<const Function *> Origs;
   /// Stepwise: one snapshot module per function (same Context as the input)
@@ -416,6 +420,7 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
                                         PassManager &PM) {
   Function *F = S.Defined[Fi];
   const Function *Orig = S.Origs[Fi];
+  cloneFunctionBody(*Orig, *F, &S.Shell);
   FunctionReportEntry &E = S.Report->Functions[Fi];
   E.Name = F->getName();
   E.FingerprintOrig = fingerprintFunction(*Orig);
@@ -471,8 +476,7 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
       } else {
         Function *Snap = Snapshots.createFunction(
             F->getFunctionType(), F->getName() + ".s" + std::to_string(Pi));
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*F, *Snap, VMap);
+        cloneFunctionBody(*F, *Snap);
         E.Steps.push_back(std::move(St));
         S.PerFn[Fi].push_back({PrevFp, Fp, Prev, Snap, static_cast<int>(Pi)});
         S.SnapChains[Fi].push_back({static_cast<int>(Pi), Snap});
@@ -552,19 +556,19 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
     R.Stepwise = Stepwise;
     R.Threads = Pool.getThreadCount();
 
-    SR.Optimized.push_back(cloneModule(M));
+    // Only the shell is copied here; each phase-1 task clones its own
+    // function's body.
     ModuleRunState &S = States[Mi];
+    SR.Optimized.push_back(cloneModuleShell(M, S.Shell));
     S.Orig = &M;
     S.Opt = SR.Optimized.back().get();
     S.Stepwise = Stepwise;
     S.Report = &R;
-    S.Defined = S.Opt->definedFunctions();
-    S.Origs.reserve(S.Defined.size());
-    for (Function *F : S.Defined) {
-      const Function *Orig = M.getFunction(F->getName());
-      assert(Orig && "function lost during cloning");
-      S.Origs.push_back(Orig);
-    }
+    for (size_t I = 0, E = M.functions().size(); I != E; ++I)
+      if (!M.functions()[I]->isDeclaration()) {
+        S.Origs.push_back(M.functions()[I]);
+        S.Defined.push_back(S.Opt->functions()[I]);
+      }
     S.SnapshotModules.resize(S.Defined.size());
     S.SnapChains.resize(S.Defined.size());
     S.PerFn.resize(S.Defined.size());
@@ -577,11 +581,13 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
   }
 
   //===--------------------------------------------------------------------===//
-  // Phase 1 (parallel): optimize, fingerprint, snapshot. Every (module,
-  // function) task is independent: passes mutate only their function and
-  // intern constants through the lock-striped Context. Each task owns a
-  // PassManager clone; when the pipeline contains a pass the registry
-  // cannot rebuild, fall back to a sequential loop over the caller's.
+  // Phase 1 (parallel): clone, optimize, fingerprint, snapshot. Every
+  // (module, function) task is independent: it clones its original's body
+  // into its shell function (reading only the original and the shell map),
+  // passes mutate only that function, and constants are interned through
+  // the lock-striped Context. Each task owns a PassManager clone; when the
+  // pipeline contains a pass the registry cannot rebuild, fall back to a
+  // sequential loop over the caller's.
   //===--------------------------------------------------------------------===//
 
   std::vector<std::pair<size_t, size_t>> Tasks;
@@ -735,14 +741,15 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
   // re-cloning runs one task per function on the pool.
   //===--------------------------------------------------------------------===//
 
-  /// One revert task: re-clone the certified body \p Src over \p Dst in
-  /// \p DstModule. Targets are resolved sequentially; the cloning itself is
-  /// scheduled per function on the pool (tasks touch disjoint functions and
-  /// intern through the lock-striped Context, same argument as phase 1).
+  /// One revert task: re-clone the certified body \p Src over \p Dst,
+  /// remapping through \p Shell. Targets are resolved sequentially; the
+  /// cloning itself is scheduled per function on the pool (tasks touch
+  /// disjoint functions and intern through the lock-striped Context, same
+  /// argument as phase 1).
   struct RevertTask {
     const Function *Src = nullptr;
     Function *Dst = nullptr;
-    Module *DstModule = nullptr;
+    const ModuleCloneMap *Shell = nullptr;
   };
   std::vector<RevertTask> Reverts;
 
@@ -772,14 +779,14 @@ SuiteRun ValidationEngine::runModules(const std::vector<const Module *> &Mods,
             if (StepIdx < Guilty)
               Target = Snap;
         }
-        Reverts.push_back({Target, S.Defined[Fi], S.Opt});
+        Reverts.push_back({Target, S.Defined[Fi], &S.Shell});
         E.Reverted = true;
       }
     }
   }
 
   Pool.parallelFor(Reverts.size(), [&](size_t I) {
-    restoreBody(*Reverts[I].Src, *Reverts[I].Dst, *Reverts[I].DstModule);
+    restoreBody(*Reverts[I].Src, *Reverts[I].Dst, *Reverts[I].Shell);
   });
   RevertUs = RevertTimer.elapsedUs();
   if (traceEnabled())

@@ -9,6 +9,12 @@
 /// optimizing so the validator can compare against the untouched original;
 /// loop unswitching clones loop bodies within one function.
 ///
+/// A module clone is two steps: cloneModuleShell copies globals and function
+/// declarations sequentially, then cloneFunctionBody copies one body at a
+/// time. Body clones only read their source and write only their
+/// destination function, so the bodies of one shell may be cloned
+/// concurrently (the engine clones each inside the task that optimizes it).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_IR_CLONING_H
@@ -17,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace llvmmd {
@@ -28,20 +35,32 @@ class Instruction;
 class Module;
 class Value;
 
-/// Deep-copies \p M into a fresh module in the same Context. Globals keep
-/// their names; function bodies are cloned instruction by instruction.
+/// Old-to-new map from a module's globals and functions to their copies in
+/// a shell built by cloneModuleShell.
+using ModuleCloneMap = std::unordered_map<const Value *, Value *>;
+
+/// Deep-copies \p M into a fresh module in the same Context: the shell, then
+/// every body. Globals keep their names.
 std::unique_ptr<Module> cloneModule(const Module &M);
 
-/// Clones \p Src's body into \p Dst (which must have the same signature and
-/// an empty body). \p VMap receives the old-to-new value mapping.
+/// Copies \p M's globals and function declarations (same order, names,
+/// types and memory effects; no bodies) into a fresh module in the same
+/// Context. \p Map receives old-to-new for every global and function; it is
+/// only read afterwards, so concurrent body clones may share it.
+std::unique_ptr<Module> cloneModuleShell(const Module &M, ModuleCloneMap &Map);
+
+/// Clones \p Src's body into \p Dst (same signature, empty body). Global
+/// operands and callees found in \p Shell are re-pointed at their copies;
+/// other operands outside the body (constants, and references \p Shell does
+/// not map) are kept as they are. \p Src is only read: its use lists are
+/// never touched, so one source may be cloned by several threads at once.
 void cloneFunctionBody(const Function &Src, Function &Dst,
-                       std::map<const Value *, Value *> &VMap);
+                       const ModuleCloneMap *Shell = nullptr);
 
 /// Re-points \p F's global-variable operands and call targets at
-/// \p DstModule's same-named entities. The fixup every cross-module body
-/// clone needs (the engine's revert phase, triage's scratch extraction):
-/// cloneFunctionBody copies operands verbatim, so they still reference the
-/// source module until remapped.
+/// \p DstModule's same-named entities. The fixup a cross-module body clone
+/// needs when no shell map relates the two modules (the revert in
+/// runLLVMMD, triage's scratch extraction).
 void remapModuleReferences(Function &F, Module &DstModule);
 
 /// Clones \p Blocks (all in \p F) appending " \p Suffix"-named copies to

@@ -8,12 +8,10 @@
 
 #include "ir/Module.h"
 
-#include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <map>
-#include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 using namespace llvmmd;
@@ -38,17 +36,46 @@ enum class TokKind {
   Colon,
 };
 
+/// One token. Text views the parsed source, which outlives the parse.
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;
+  std::string_view Text;
   int64_t IntVal = 0;
   double FloatVal = 0;
   unsigned Line = 0;
 };
 
+bool isSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\r' || C == '\v' ||
+         C == '\f';
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
+bool isIdentChar(char C) {
+  return isAlpha(C) || isDigit(C) || C == '_' || C == '.' || C == '$';
+}
+
 class Lexer {
 public:
   explicit Lexer(std::string_view Src) : Src(Src) {}
+
+  /// True if the next token is ':' (does not advance).
+  bool nextIsColon() const {
+    size_t P = Pos;
+    while (P < Src.size()) {
+      if (Src[P] == ';') {
+        while (P < Src.size() && Src[P] != '\n')
+          ++P;
+      } else if (isSpace(Src[P])) {
+        ++P;
+      } else {
+        break;
+      }
+    }
+    return P < Src.size() && Src[P] == ':';
+  }
 
   Token next() {
     skipTrivia();
@@ -109,15 +136,15 @@ public:
     default:
       break;
     }
-    if (std::isdigit(static_cast<unsigned char>(C)) || C == '-')
+    if (isDigit(C) || C == '-')
       return lexNumber();
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
+    if (isAlpha(C) || C == '_') {
       T.Kind = TokKind::Word;
       T.Text = lexIdent();
       return T;
     }
     T.Kind = TokKind::Eof;
-    T.Text = std::string(1, C);
+    T.Text = Src.substr(Pos, 1);
     return T;
   }
 
@@ -135,7 +162,7 @@ private:
         ++Pos;
         continue;
       }
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         ++Pos;
         continue;
       }
@@ -143,17 +170,11 @@ private:
     }
   }
 
-  std::string lexIdent() {
+  std::string_view lexIdent() {
     size_t Start = Pos;
-    while (Pos < Src.size()) {
-      char C = Src[Pos];
-      if (std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-          C == '.' || C == '$')
-        ++Pos;
-      else
-        break;
-    }
-    return std::string(Src.substr(Start, Pos - Start));
+    while (Pos < Src.size() && isIdentChar(Src[Pos]))
+      ++Pos;
+    return Src.substr(Start, Pos - Start);
   }
 
   Token lexNumber() {
@@ -165,7 +186,7 @@ private:
     bool IsFloat = false;
     while (Pos < Src.size()) {
       char C = Src[Pos];
-      if (std::isdigit(static_cast<unsigned char>(C))) {
+      if (isDigit(C)) {
         ++Pos;
         continue;
       }
@@ -178,15 +199,19 @@ private:
       }
       break;
     }
-    std::string Text(Src.substr(Start, Pos - Start));
+    T.Text = Src.substr(Start, Pos - Start);
+    const char *B = T.Text.data(), *E = B + T.Text.size();
+    // from_chars reads every well-formed literal; strto* gives the rest
+    // (out-of-range values, texts without digits) their historic values.
     if (IsFloat) {
       T.Kind = TokKind::FloatLit;
-      T.FloatVal = std::strtod(Text.c_str(), nullptr);
+      if (std::from_chars(B, E, T.FloatVal).ec != std::errc())
+        T.FloatVal = std::strtod(std::string(T.Text).c_str(), nullptr);
     } else {
       T.Kind = TokKind::IntLit;
-      T.IntVal = std::strtoll(Text.c_str(), nullptr, 10);
+      if (std::from_chars(B, E, T.IntVal).ec != std::errc())
+        T.IntVal = std::strtoll(std::string(T.Text).c_str(), nullptr, 10);
     }
-    T.Text = std::move(Text);
     return T;
   }
 
@@ -194,6 +219,9 @@ private:
   size_t Pos = 0;
   unsigned Line = 1;
 };
+
+/// Operands parsed as undef placeholders: (operand index, local name).
+using DeferList = std::vector<std::pair<unsigned, std::string_view>>;
 
 /// Recursive-descent parser for modules.
 class Parser {
@@ -266,7 +294,7 @@ private:
       error("expected type");
       return nullptr;
     }
-    std::string N = Tok.Text;
+    std::string_view N = Tok.Text;
     advance();
     if (N == "void")
       return Ctx.getVoidTy();
@@ -275,11 +303,14 @@ private:
     if (N == "ptr")
       return Ctx.getPtrTy();
     if (N.size() >= 2 && N[0] == 'i') {
-      unsigned Bits = std::atoi(N.c_str() + 1);
+      // The width is the digit run after 'i' (as atoi would read it).
+      unsigned Bits = 0;
+      for (size_t K = 1; K < N.size() && isDigit(N[K]) && Bits < 1000; ++K)
+        Bits = Bits * 10 + unsigned(N[K] - '0');
       if (Bits == 1 || Bits == 8 || Bits == 16 || Bits == 32 || Bits == 64)
         return Ctx.getIntTy(Bits);
     }
-    error("unknown type '" + N + "'");
+    error("unknown type '" + std::string(N) + "'");
     return nullptr;
   }
 
@@ -329,7 +360,7 @@ private:
   }
 
   void parseGlobal() {
-    std::string Name = Tok.Text;
+    std::string_view Name = Tok.Text;
     advance();
     if (!expect(TokKind::Equal, "'='"))
       return;
@@ -353,7 +384,8 @@ private:
       if (!Init)
         return;
     }
-    M->createGlobal(Ty, Name, Init, IsConstant);
+    GlobalsByName.emplace(
+        Name, M->createGlobal(Ty, std::string(Name), Init, IsConstant));
   }
 
   void parseDeclare() {
@@ -365,7 +397,7 @@ private:
       error("expected function name");
       return;
     }
-    std::string Name = Tok.Text;
+    std::string_view Name = Tok.Text;
     advance();
     if (!expect(TokKind::LParen, "'('"))
       return;
@@ -388,8 +420,7 @@ private:
     }
     if (!expect(TokKind::RParen, "')'"))
       return;
-    Function *F =
-        M->createFunction(Ctx.getFunctionTy(RetTy, std::move(Params)), Name);
+    Function *F = createFunction(RetTy, std::move(Params), Name);
     while (Tok.Kind == TokKind::Word) {
       if (Tok.Text == "readonly")
         F->setMemoryEffect(MemoryEffect::ReadOnly);
@@ -405,55 +436,70 @@ private:
   // Function bodies
   //===------------------------------------------------------------------===//
 
+  /// Names are views into the parsed text.
   struct BodyState {
     Function *F = nullptr;
-    std::map<std::string, Value *> Locals;
-    std::map<std::string, BasicBlock *> Blocks;
+    std::unordered_map<std::string_view, Value *> Locals;
+    struct BlockSlot {
+      BasicBlock *BB = nullptr;
+      bool Defined = false; ///< its label has been seen
+    };
+    std::unordered_map<std::string_view, BlockSlot> Blocks;
     /// Blocks in label-definition order (textual order), for reordering.
     std::vector<BasicBlock *> DefinitionOrder;
     // (user, operand index, name, expected type) fixups for forward refs.
     struct Fixup {
       Instruction *I;
       unsigned OpIdx;
-      std::string Name;
+      std::string_view Name;
       Type *Ty;
       unsigned Line;
     };
     std::vector<Fixup> Fixups;
   };
 
-  BasicBlock *getOrCreateBlock(BodyState &S, const std::string &Name) {
-    auto It = S.Blocks.find(Name);
-    if (It != S.Blocks.end())
-      return It->second;
-    BasicBlock *BB = S.F->createBlock(Name);
-    S.Blocks[Name] = BB;
-    return BB;
+  BodyState::BlockSlot &getOrCreateBlockSlot(BodyState &S,
+                                             std::string_view Name) {
+    BodyState::BlockSlot &Slot = S.Blocks[Name];
+    if (!Slot.BB)
+      Slot.BB = S.F->createBlock(std::string(Name));
+    return Slot;
   }
 
-  void defineLocal(BodyState &S, const std::string &Name, Value *V) {
+  BasicBlock *getOrCreateBlock(BodyState &S, std::string_view Name) {
+    return getOrCreateBlockSlot(S, Name).BB;
+  }
+
+  void defineLocal(BodyState &S, std::string_view Name, Value *V) {
     if (!S.Locals.emplace(Name, V).second) {
-      error("redefinition of %" + Name);
+      error("redefinition of %" + std::string(Name));
       return;
     }
-    V->setName(Name);
+    V->setName(std::string(Name));
+  }
+
+  Function *createFunction(Type *RetTy, std::vector<Type *> Params,
+                           std::string_view Name) {
+    Function *F = M->createFunction(
+        Ctx.getFunctionTy(RetTy, std::move(Params)), std::string(Name));
+    FunctionsByName.emplace(Name, F);
+    return F;
   }
 
   /// Parses a value reference of the given type; returns undef + fixup if
   /// the local is not yet defined.
   Value *parseValueRef(BodyState &S, Type *Ty, Instruction *PendingUser,
-                       std::vector<std::pair<unsigned, std::string>> *Defer,
-                       unsigned OpIdx) {
+                       DeferList *Defer, unsigned OpIdx) {
     (void)PendingUser;
     if (Tok.Kind == TokKind::LocalId) {
-      std::string Name = Tok.Text;
+      std::string_view Name = Tok.Text;
       unsigned Line = Tok.Line;
       advance();
       auto It = S.Locals.find(Name);
       if (It != S.Locals.end()) {
         if (It->second->getType() != Ty) {
           Tok.Line = Line;
-          error("type mismatch for %" + Name);
+          error("type mismatch for %" + std::string(Name));
           return nullptr;
         }
         return It->second;
@@ -463,22 +509,22 @@ private:
       return Ctx.getUndef(Ty);
     }
     if (Tok.Kind == TokKind::GlobalId) {
-      std::string Name = Tok.Text;
+      std::string_view Name = Tok.Text;
       advance();
-      if (GlobalVariable *G = M->getGlobal(Name))
-        return G;
-      if (Function *F = M->getFunction(Name))
-        return F;
-      error("unknown global @" + Name);
+      auto GIt = GlobalsByName.find(Name);
+      if (GIt != GlobalsByName.end())
+        return GIt->second;
+      auto FIt = FunctionsByName.find(Name);
+      if (FIt != FunctionsByName.end())
+        return FIt->second;
+      error("unknown global @" + std::string(Name));
       return nullptr;
     }
     return parseConstantLiteral(Ty);
   }
 
   /// Parses "<type> <value>".
-  Value *parseTypedValue(BodyState &S,
-                         std::vector<std::pair<unsigned, std::string>> *Defer,
-                         unsigned OpIdx) {
+  Value *parseTypedValue(BodyState &S, DeferList *Defer, unsigned OpIdx) {
     Type *Ty = parseType();
     if (!Ty)
       return nullptr;
@@ -494,12 +540,12 @@ private:
       error("expected function name");
       return;
     }
-    std::string Name = Tok.Text;
+    std::string_view Name = Tok.Text;
     advance();
     if (!expect(TokKind::LParen, "'('"))
       return;
     std::vector<Type *> Params;
-    std::vector<std::string> ParamNames;
+    std::vector<std::string_view> ParamNames;
     if (Tok.Kind != TokKind::RParen) {
       while (true) {
         Type *P = parseType();
@@ -525,8 +571,7 @@ private:
       return;
 
     BodyState S;
-    S.F =
-        M->createFunction(Ctx.getFunctionTy(RetTy, std::move(Params)), Name);
+    S.F = createFunction(RetTy, std::move(Params), Name);
     for (unsigned I = 0, E = ParamNames.size(); I != E; ++I)
       defineLocal(S, ParamNames[I], S.F->getArg(I));
 
@@ -537,17 +582,17 @@ private:
       if (Tok.Kind == TokKind::Word) {
         // Look ahead: "name:" introduces a block. Otherwise it is an opcode
         // of a void instruction (store/br/ret/unreachable/call void).
-        if (isBlockLabelAhead()) {
-          std::string BlockName = Tok.Text;
+        if (Lex.nextIsColon()) {
+          std::string_view BlockName = Tok.Text;
           advance();
           expect(TokKind::Colon, "':'");
-          CurBB = getOrCreateBlock(S, BlockName);
-          if (!CurBB->empty() ||
-              std::find(S.DefinitionOrder.begin(), S.DefinitionOrder.end(),
-                        CurBB) != S.DefinitionOrder.end()) {
-            error("block %" + BlockName + " defined twice");
+          BodyState::BlockSlot &Slot = getOrCreateBlockSlot(S, BlockName);
+          if (Slot.Defined) {
+            error("block %" + std::string(BlockName) + " defined twice");
             return;
           }
+          Slot.Defined = true;
+          CurBB = Slot.BB;
           S.DefinitionOrder.push_back(CurBB);
           continue;
         }
@@ -569,14 +614,6 @@ private:
     resolveFixups(S);
   }
 
-  /// Returns true if the current Word token is followed by ':' (peeks by
-  /// re-lexing; our lexer is cheap enough to clone).
-  bool isBlockLabelAhead() {
-    Lexer Copy = Lex;
-    Token Next = Copy.next();
-    return Next.Kind == TokKind::Colon;
-  }
-
   void resolveFixups(BodyState &S) {
     for (const auto &Fix : S.Fixups) {
       auto It = S.Locals.find(Fix.Name);
@@ -589,7 +626,7 @@ private:
       }
       if (It->second->getType() != Fix.Ty) {
         if (Err.empty())
-          Err = "type mismatch resolving %" + Fix.Name;
+          Err = "type mismatch resolving %" + std::string(Fix.Name);
         return;
       }
       Fix.I->setOperand(Fix.OpIdx, It->second);
@@ -597,8 +634,7 @@ private:
   }
 
   /// Records deferred operands of \p I as fixups to resolve at function end.
-  void recordFixups(BodyState &S, Instruction *I,
-                    const std::vector<std::pair<unsigned, std::string>> &Defer,
+  void recordFixups(BodyState &S, Instruction *I, const DeferList &Defer,
                     unsigned Line) {
     for (const auto &[OpIdx, Name] : Defer)
       S.Fixups.push_back(
@@ -607,7 +643,7 @@ private:
 
   void parseInstruction(BodyState &S, BasicBlock *BB) {
     unsigned Line = Tok.Line;
-    std::string ResultName;
+    std::string_view ResultName;
     bool HasResult = false;
     if (Tok.Kind == TokKind::LocalId) {
       ResultName = Tok.Text;
@@ -620,10 +656,10 @@ private:
       error("expected opcode");
       return;
     }
-    std::string Op = Tok.Text;
+    std::string_view Op = Tok.Text;
     advance();
 
-    std::vector<std::pair<unsigned, std::string>> Defer;
+    DeferList Defer;
     Instruction *I = parseInstructionBody(S, BB, Op, Defer);
     if (!I)
       return;
@@ -638,12 +674,12 @@ private:
   }
 
   Instruction *
-  parseInstructionBody(BodyState &S, BasicBlock *BB, const std::string &Op,
-                       std::vector<std::pair<unsigned, std::string>> &Defer) {
+  parseInstructionBody(BodyState &S, BasicBlock *BB, std::string_view Op,
+                       DeferList &Defer) {
     // Parsed instructions live in the owning function's body arena.
     Arena &IArena = BB->getParent()->bodyArena();
     // Binary operators.
-    static const std::map<std::string, Opcode> BinOps = {
+    static const std::unordered_map<std::string_view, Opcode> BinOps = {
         {"add", Opcode::Add},   {"sub", Opcode::Sub},
         {"mul", Opcode::Mul},   {"sdiv", Opcode::SDiv},
         {"udiv", Opcode::UDiv}, {"srem", Opcode::SRem},
@@ -670,17 +706,19 @@ private:
     }
 
     if (Op == "icmp") {
-      static const std::map<std::string, ICmpPred> Preds = {
+      static const std::unordered_map<std::string_view, ICmpPred> Preds = {
           {"eq", ICmpPred::EQ},   {"ne", ICmpPred::NE},
           {"slt", ICmpPred::SLT}, {"sle", ICmpPred::SLE},
           {"sgt", ICmpPred::SGT}, {"sge", ICmpPred::SGE},
           {"ult", ICmpPred::ULT}, {"ule", ICmpPred::ULE},
           {"ugt", ICmpPred::UGT}, {"uge", ICmpPred::UGE}};
-      if (Tok.Kind != TokKind::Word || !Preds.count(Tok.Text)) {
+      auto PIt =
+          Tok.Kind == TokKind::Word ? Preds.find(Tok.Text) : Preds.end();
+      if (PIt == Preds.end()) {
         error("expected icmp predicate");
         return nullptr;
       }
-      ICmpPred P = Preds.at(Tok.Text);
+      ICmpPred P = PIt->second;
       advance();
       Type *Ty = parseType();
       if (!Ty)
@@ -697,15 +735,17 @@ private:
     }
 
     if (Op == "fcmp") {
-      static const std::map<std::string, FCmpPred> Preds = {
+      static const std::unordered_map<std::string_view, FCmpPred> Preds = {
           {"oeq", FCmpPred::OEQ}, {"one", FCmpPred::ONE},
           {"olt", FCmpPred::OLT}, {"ole", FCmpPred::OLE},
           {"ogt", FCmpPred::OGT}, {"oge", FCmpPred::OGE}};
-      if (Tok.Kind != TokKind::Word || !Preds.count(Tok.Text)) {
+      auto PIt =
+          Tok.Kind == TokKind::Word ? Preds.find(Tok.Text) : Preds.end();
+      if (PIt == Preds.end()) {
         error("expected fcmp predicate");
         return nullptr;
       }
-      FCmpPred P = Preds.at(Tok.Text);
+      FCmpPred P = PIt->second;
       advance();
       Type *Ty = parseType();
       if (!Ty)
@@ -820,11 +860,12 @@ private:
         error("expected callee name");
         return nullptr;
       }
-      Function *Callee = M->getFunction(Tok.Text);
-      if (!Callee) {
-        error("unknown function @" + Tok.Text);
+      auto CIt = FunctionsByName.find(Tok.Text);
+      if (CIt == FunctionsByName.end()) {
+        error("unknown function @" + std::string(Tok.Text));
         return nullptr;
       }
+      Function *Callee = CIt->second;
       advance();
       if (!expect(TokKind::LParen, "'('"))
         return nullptr;
@@ -940,7 +981,7 @@ private:
       return I;
     }
 
-    error("unknown opcode '" + Op + "'");
+    error("unknown opcode '" + std::string(Op) + "'");
     return nullptr;
   }
 
@@ -948,6 +989,10 @@ private:
   Lexer Lex;
   Token Tok;
   std::unique_ptr<Module> M;
+  /// Module symbols by name, first definition winning (as Module::getGlobal
+  /// and getFunction would find them).
+  std::unordered_map<std::string_view, GlobalVariable *> GlobalsByName;
+  std::unordered_map<std::string_view, Function *> FunctionsByName;
   std::string Err;
 };
 

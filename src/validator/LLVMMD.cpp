@@ -11,7 +11,6 @@
 #include "opt/Pass.h"
 
 #include <chrono>
-#include <map>
 
 using namespace llvmmd;
 
@@ -20,10 +19,13 @@ std::unique_ptr<Module> llvmmd::runLLVMMD(const Module &M, PassManager &PM,
                                           LLVMMDReport &Report) {
   auto Start = std::chrono::steady_clock::now();
   std::unique_ptr<Module> Out = cloneModule(M);
+  // The clone keeps M's function order, so definitions pair by position.
+  std::vector<Function *> Defined = Out->definedFunctions();
+  std::vector<Function *> Origs = M.definedFunctions();
 
-  for (Function *F : Out->definedFunctions()) {
-    const Function *Orig = M.getFunction(F->getName());
-    assert(Orig && "function lost during cloning");
+  for (size_t I = 0; I < Defined.size(); ++I) {
+    Function *F = Defined[I];
+    const Function *Orig = Origs[I];
     FunctionReport FR;
     FR.Name = F->getName();
     FR.Transformed = PM.run(*F);
@@ -33,19 +35,8 @@ std::unique_ptr<Module> llvmmd::runLLVMMD(const Module &M, PassManager &PM,
       if (!FR.Validated) {
         // `replace fo by fi in output` — revert to the original body.
         F->dropBody();
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*Orig, *F, VMap);
-        // Remap cross-module references (globals, callees).
-        for (const auto &BB : F->blocks()) {
-          for (Instruction *I : *BB) {
-            for (unsigned OpI = 0, E = I->getNumOperands(); OpI != E; ++OpI) {
-              if (auto *GV = dyn_cast<GlobalVariable>(I->getOperand(OpI)))
-                I->setOperand(OpI, Out->getGlobal(GV->getName()));
-            }
-            if (auto *Call = dyn_cast<CallInst>(I))
-              Call->setCallee(Out->getFunction(Call->getCallee()->getName()));
-          }
-        }
+        cloneFunctionBody(*Orig, *F);
+        remapModuleReferences(*F, *Out);
         FR.Reverted = true;
       }
     }

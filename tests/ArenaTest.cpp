@@ -168,16 +168,14 @@ TEST(ArenaTest, DropBodyAndRecloneReusesTheSlab) {
   // cycle primes the slab, the body arena must stop growing.
   F->dropBody();
   EXPECT_TRUE(F->isDeclaration());
-  std::map<const Value *, Value *> VMap;
-  cloneFunctionBody(*Pristine->getFunction("f"), *F, VMap);
+  cloneFunctionBody(*Pristine->getFunction("f"), *F);
   remapModuleReferences(*F, *M);
   size_t WarmReserved = F->bodyArena().bytesReserved();
   EXPECT_EQ(printModule(*M), Expected);
 
   for (int Cycle = 0; Cycle < 10; ++Cycle) {
     F->dropBody();
-    std::map<const Value *, Value *> CycleMap;
-    cloneFunctionBody(*Pristine->getFunction("f"), *F, CycleMap);
+    cloneFunctionBody(*Pristine->getFunction("f"), *F);
     remapModuleReferences(*F, *M);
     EXPECT_EQ(printModule(*M), Expected) << "cycle " << Cycle;
     EXPECT_EQ(F->bodyArena().bytesReserved(), WarmReserved)
@@ -213,8 +211,7 @@ TEST(ArenaTest, EightThreadsMutateTheirOwnModulesInIsolation) {
         auto Clone = cloneModule(*R.M);
         Function *F = Clone->getFunction("f");
         F->dropBody();
-        std::map<const Value *, Value *> VMap;
-        cloneFunctionBody(*R.M->getFunction("f"), *F, VMap);
+        cloneFunctionBody(*R.M->getFunction("f"), *F);
         remapModuleReferences(*F, *Clone);
         if (printModule(*Clone) != Expected) {
           Failures[T] = "round " + std::to_string(Round) +

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <unordered_set>
+
 using namespace llvmmd;
 using namespace llvmmd::testutil;
 
@@ -162,4 +165,127 @@ x:
   auto *ClonedAdd = cast<Instruction>(VMap.at(
       *std::next(LoopBlocks[1]->begin(), 0)));
   EXPECT_EQ(ClonedAdd->getOperand(0), VMap.at(LoopBlocks[0]->front()));
+}
+
+TEST(Cloning, ShellThenBodiesMatchesCloneModule) {
+  Context Ctx;
+  auto M = generateBenchmark(Ctx, [] {
+    BenchmarkProfile P = getProfile("hmmer");
+    P.FunctionCount = 6;
+    return P;
+  }());
+  ModuleCloneMap Map;
+  auto Shell = cloneModuleShell(*M, Map);
+  // The shell holds every global and function, bodies excluded.
+  ASSERT_EQ(Shell->globals().size(), M->globals().size());
+  ASSERT_EQ(Shell->functions().size(), M->functions().size());
+  EXPECT_EQ(Map.size(), M->globals().size() + M->functions().size());
+  for (size_t I = 0; I < M->functions().size(); ++I) {
+    EXPECT_TRUE(Shell->functions()[I]->isDeclaration());
+    EXPECT_EQ(Map.at(M->functions()[I]), Shell->functions()[I]);
+  }
+  // Bodies cloned in any order give what cloneModule gives.
+  for (size_t I = M->functions().size(); I-- > 0;)
+    if (!M->functions()[I]->isDeclaration())
+      cloneFunctionBody(*M->functions()[I], *Shell->functions()[I], &Map);
+  expectVerified(*Shell);
+  EXPECT_EQ(printModule(*Shell), printModule(*cloneModule(*M)));
+  EXPECT_EQ(printModule(*Shell), printModule(*M));
+  // Globals and callees were re-pointed through the map.
+  std::unordered_set<const Value *> Source(M->globals().begin(),
+                                           M->globals().end());
+  Source.insert(M->functions().begin(), M->functions().end());
+  for (const Function *F : Shell->definedFunctions())
+    for (const BasicBlock *BB : F->blocks())
+      for (const Instruction *I : *BB) {
+        for (const Value *Op : I->operands())
+          EXPECT_FALSE(Source.count(Op)) << F->getName();
+        if (const auto *Call = dyn_cast<CallInst>(I))
+          EXPECT_FALSE(Source.count(Call->getCallee())) << F->getName();
+      }
+}
+
+TEST(Cloning, CopiesListUsersInTextualOrder) {
+  // %i2 is used by the header phi (a forward reference: the phi comes
+  // first in the text) and by %d. The parser lists %d first (forward
+  // references are patched at the end of the function); a copy lists its
+  // users in text order, which the optimizer passes walk.
+  Context Ctx;
+  auto M = parseOrDie(Ctx, R"(
+define i32 @f(i32 %n) {
+entry:
+  br label %h
+h:
+  %i = phi i32 [ 0, %entry ], [ %i2, %b ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %b, label %x
+b:
+  %i2 = add i32 %i, 1
+  %d = mul i32 %i2, 2
+  br label %h
+x:
+  ret i32 %i
+}
+)");
+  auto Clone = cloneModule(*M);
+  expectVerified(*Clone);
+  EXPECT_EQ(printModule(*Clone), printModule(*M));
+  const Function *F = Clone->getFunction("f");
+  const BasicBlock *H = F->blocks()[1], *B = F->blocks()[2];
+  const Instruction *Phi = H->front();
+  const Instruction *I2 = B->front();
+  const Instruction *D = *std::next(B->begin());
+  ASSERT_EQ(I2->getName(), "i2");
+  ASSERT_EQ(I2->getNumUses(), 2u);
+  EXPECT_EQ(I2->users()[0], Phi);
+  EXPECT_EQ(I2->users()[1], D);
+  // The phi's placeholder was replaced by the copy, not left as undef.
+  EXPECT_EQ(cast<PhiNode>(Phi)->getIncomingValue(1), I2);
+}
+
+TEST(Cloning, ConcurrentClonesLeaveTheSourceUntouched) {
+  // Four threads clone the same const function 50 times each, each into
+  // its own shell. Cloning only reads its source, so the source's use
+  // lists come out exactly as they went in (and TSan sees no write).
+  Context Ctx;
+  auto M = generateBenchmark(Ctx, [] {
+    BenchmarkProfile P = getProfile("sjeng");
+    P.FunctionCount = 3;
+    return P;
+  }());
+  const Function *Src = M->definedFunctions().front();
+  std::vector<std::pair<const Value *, std::vector<User *>>> Before;
+  for (unsigned I = 0; I < Src->getNumArgs(); ++I)
+    Before.push_back({Src->getArg(I), Src->getArg(I)->users()});
+  for (const BasicBlock *BB : Src->blocks())
+    for (const Instruction *I : *BB)
+      Before.push_back({I, I->users()});
+  const std::string Expected = printFunction(*Src);
+
+  // Shells are built up front: module structure is mutated sequentially.
+  constexpr unsigned Threads = 4, Rounds = 50;
+  std::vector<ModuleCloneMap> Maps(Threads);
+  std::vector<std::unique_ptr<Module>> Shells;
+  for (unsigned T = 0; T < Threads; ++T)
+    Shells.push_back(cloneModuleShell(*M, Maps[T]));
+  std::vector<std::string> Failures(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      auto *Dst = cast<Function>(Maps[T].at(Src));
+      for (unsigned R = 0; R < Rounds; ++R) {
+        Dst->dropBody();
+        cloneFunctionBody(*Src, *Dst, &Maps[T]);
+        if (printFunction(*Dst) != Expected) {
+          Failures[T] = "round " + std::to_string(R) + ": copy differs";
+          return;
+        }
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    EXPECT_EQ(Failures[T], "") << "thread " << T;
+  for (const auto &[V, Users] : Before)
+    EXPECT_EQ(V->users(), Users) << V->getName();
 }

@@ -21,6 +21,7 @@
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "opt/Pass.h"
+#include "support/Trace.h"
 
 #include "TestUtil.h"
 
@@ -28,6 +29,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 using namespace llvmmd;
 using testutil::expectVerified;
@@ -590,6 +592,117 @@ TEST(LLVMFrontendTest, LoaderStopsAtFirstError) {
   LoadResult R = loadModules(Ctx, Specs);
   EXPECT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(R.Modules.size(), 1u);
+}
+
+namespace {
+
+ModuleSpec inlineSpec(std::string Text, std::string Name = "") {
+  ModuleSpec S;
+  S.From = ModuleSpec::Source::Inline;
+  S.Value = std::move(Text);
+  S.Name = std::move(Name);
+  return S;
+}
+
+/// Thread ids of the trace's complete events named \p Name.
+std::vector<std::string> traceTids(const std::string &Json,
+                                   const std::string &Name) {
+  std::vector<std::string> Tids;
+  const std::string Key = "{\"name\": \"" + Name + "\"";
+  for (size_t Pos = Json.find(Key); Pos != std::string::npos;
+       Pos = Json.find(Key, Pos + 1)) {
+    size_t T = Json.find("\"tid\": ", Pos) + 7;
+    Tids.push_back(Json.substr(T, Json.find_first_of(",}", T) - T));
+  }
+  return Tids;
+}
+
+} // namespace
+
+TEST(LLVMFrontendTest, LoaderKeepsSpecOrderAcrossConcurrentParses) {
+  // Mixed sources and sizes, so the largest-first schedule parses them in
+  // a different order than they were given.
+  ModuleSpec Gcc = parseModuleSpec("profile:gcc");
+  Gcc.ProfileFnCount = 6;
+  std::vector<ModuleSpec> Specs = {
+      inlineSpec("define i32 @one() {\nentry:\n  ret i32 1\n}\n", "one"),
+      parseModuleSpec(fixturePath("kernels_O0.ll")),
+      Gcc,
+      inlineSpec(readFileOrDie(fixturePath("kernels_opt.ll")), "opt.ll"),
+      parseModuleSpec("profile:mcf"),
+      inlineSpec("define i32 @two(i32 %a) {\nentry:\n  %b = add i32 %a, 2\n"
+                 "  ret i32 %b\n}\n"),
+  };
+  Context Ctx;
+  LoadResult All = loadModules(Ctx, Specs);
+  ASSERT_TRUE(static_cast<bool>(All)) << All.Error;
+  ASSERT_EQ(All.Modules.size(), Specs.size());
+  for (size_t K = 0; K < Specs.size(); ++K) {
+    LoadResult One = loadModule(Ctx, Specs[K]);
+    ASSERT_TRUE(static_cast<bool>(One)) << One.Error;
+    const LoadedModule &A = All.Modules[K], &B = One.Modules.front();
+    EXPECT_EQ(A.Name, B.Name) << "spec " << K;
+    EXPECT_EQ(A.Format, B.Format) << "spec " << K;
+    EXPECT_EQ(A.Unsupported.size(), B.Unsupported.size()) << "spec " << K;
+    EXPECT_EQ(printModule(*A.M), printModule(*B.M)) << "spec " << K;
+  }
+}
+
+TEST(LLVMFrontendTest, LoaderReportsTheFirstFailingSpecInSpecOrder) {
+  Context Ctx;
+  // A large valid spec, then an unreadable file, then an unknown profile:
+  // reading stops at the file, and only the spec before it is loaded.
+  LoadResult R = loadModules(Ctx, {parseModuleSpec("profile:perlbench"),
+                                   parseModuleSpec("/no/such/dir/missing.ll"),
+                                   parseModuleSpec("profile:nonexistent")});
+  EXPECT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.Error.find("missing.ll"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.Modules.size(), 1u);
+
+  // Two parse errors: the large bad spec is scheduled first, but the small
+  // bad spec comes first in spec order and is the one reported.
+  std::string Big = readFileOrDie(fixturePath("kernels_opt.ll"));
+  LoadResult P = loadModules(
+      Ctx, {inlineSpec("define i32 @ok() {\nentry:\n  ret i32 1\n}\n", "ok"),
+            inlineSpec("define i32 @f() {\nentry:\n  bogus\n}\n", "small"),
+            inlineSpec(Big + "\n@@@\n", "big.ll")});
+  EXPECT_FALSE(static_cast<bool>(P));
+  EXPECT_EQ(P.Error.rfind("small: line ", 0), 0u) << P.Error;
+  EXPECT_NE(P.Error.find("'bogus'"), std::string::npos) << P.Error;
+  EXPECT_GT(P.ErrorLine, 0u);
+  EXPECT_EQ(P.Modules.size(), 1u);
+}
+
+TEST(LLVMFrontendTest, LoaderParsesOneSpecInline) {
+  struct TraceGuard {
+    TraceGuard() { traceEnable(); }
+    ~TraceGuard() { traceDisable(); }
+  } Guard;
+  { TraceSpan Marker("loader_test_marker", "test"); }
+  Context Ctx;
+  ASSERT_TRUE(static_cast<bool>(loadModule(
+      Ctx, inlineSpec("define i32 @one() {\nentry:\n  ret i32 1\n}\n"))));
+  std::string Json = traceToJSON();
+  std::vector<std::string> Caller = traceTids(Json, "loader_test_marker");
+  std::vector<std::string> Loads = traceTids(Json, "load_module");
+  ASSERT_EQ(Caller.size(), 1u);
+  ASSERT_EQ(Loads.size(), 1u);
+  EXPECT_EQ(Loads[0], Caller[0]) << "a single spec must not start a pool";
+
+  // Several specs go to the pool's workers whenever there is more than one
+  // hardware thread.
+  traceEnable();
+  { TraceSpan Marker("loader_test_marker", "test"); }
+  ModuleSpec Small = parseModuleSpec("profile:mcf");
+  Small.ProfileFnCount = 2;
+  ASSERT_TRUE(static_cast<bool>(loadModules(Ctx, {Small, Small, Small})));
+  Json = traceToJSON();
+  Caller = traceTids(Json, "loader_test_marker");
+  Loads = traceTids(Json, "load_module");
+  ASSERT_EQ(Loads.size(), 3u);
+  if (std::thread::hardware_concurrency() > 1)
+    for (const std::string &Tid : Loads)
+      EXPECT_NE(Tid, Caller[0]);
 }
 
 //===----------------------------------------------------------------------===//
