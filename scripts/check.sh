@@ -170,7 +170,7 @@ if [ "$MODE" = serve ]; then
     --target validate_server validate_client batch_validate
   DIR="$(mktemp -d)"
   DAEMON=""
-  trap '[ -n "$DAEMON" ] && kill "$DAEMON" 2>/dev/null; rm -rf "$DIR"' EXIT
+  trap 'if [ -n "$DAEMON" ]; then kill "$DAEMON" 2>/dev/null || true; fi; rm -rf "$DIR"' EXIT
   STORE="$DIR/serve.vstore"
   SOCK="$DIR/serve.sock"
 
@@ -256,7 +256,7 @@ if [ "$MODE" = obs ]; then
     store_tool
   DIR="$(mktemp -d)"
   DAEMON=""
-  trap '[ -n "$DAEMON" ] && kill "$DAEMON" 2>/dev/null; rm -rf "$DIR"' EXIT
+  trap 'if [ -n "$DAEMON" ]; then kill "$DAEMON" 2>/dev/null || true; fi; rm -rf "$DIR"' EXIT
 
   run_bv() {
     # 2 = some optimizations unprovable (expected on these profiles).
@@ -394,7 +394,7 @@ if [ "$MODE" = fleet ]; then
     store_tool
   DIR="$(mktemp -d)"
   ROUTER=""
-  trap '[ -n "$ROUTER" ] && kill "$ROUTER" 2>/dev/null; rm -rf "$DIR"' EXIT
+  trap 'if [ -n "$ROUTER" ]; then kill "$ROUTER" 2>/dev/null || true; fi; rm -rf "$DIR"' EXIT
   STORE="$DIR/fleet.vstore"
   SOCK="$DIR/fleet.sock"
 
@@ -507,7 +507,7 @@ if [ "$MODE" = llvm ]; then
     --target batch_validate validate_server validate_client validate_fleet
   DIR="$(mktemp -d)"
   DAEMON=""
-  trap '[ -n "$DAEMON" ] && kill "$DAEMON" 2>/dev/null; rm -rf "$DIR"' EXIT
+  trap 'if [ -n "$DAEMON" ]; then kill "$DAEMON" 2>/dev/null || true; fi; rm -rf "$DIR"' EXIT
   FIX="$REPO_ROOT/tests/fixtures/llvm"
   PAIR=("$FIX/kernels_O0.ll" "$FIX/kernels_opt.ll")
 

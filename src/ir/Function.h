@@ -144,10 +144,20 @@ public:
   /// Releases the whole body in one arena reset: operand cycles are broken
   /// first, then every block and instruction is destroyed together and the
   /// slab is recycled for the next body (revert/re-clone hits warm memory).
+  ///
+  /// Only arguments and instructions track their uses, and all their users
+  /// are this body's instructions, which die together. So the use lists of
+  /// the arguments and instructions are cleared wholesale and the operand
+  /// lists dropped without unregistering each use: teardown is linear in
+  /// the body, not quadratic in a value's uses.
   void dropBody() {
+    for (Argument *A : Args)
+      A->Users.clear();
     for (BasicBlock *BB : Blocks)
-      for (Instruction *I : *BB)
-        I->dropAllReferences();
+      for (Instruction *I : *BB) {
+        I->Users.clear();
+        I->Operands.clear();
+      }
     Blocks.clear();
     BodyArena.reset();
   }

@@ -260,6 +260,7 @@ public:
 private:
   void advance() { Tok = Lex.next(); }
 
+  /// Reports \p Msg at the current (not yet consumed) token.
   void error(const std::string &Msg) {
     if (!Err.empty())
       return;
@@ -268,6 +269,14 @@ private:
     if (!Tok.Text.empty())
       OS << " (got '" << Tok.Text << "')";
     Err = OS.str();
+  }
+
+  /// Reports \p Msg about a construct already consumed, at \p Line where
+  /// it appeared; the current token may sit on a later line.
+  void errorAt(unsigned Line, const std::string &Msg) {
+    if (!Err.empty())
+      return;
+    Err = "line " + std::to_string(Line) + ": " + Msg;
   }
 
   bool expect(TokKind K, const char *What) {
@@ -295,6 +304,7 @@ private:
       return nullptr;
     }
     std::string_view N = Tok.Text;
+    unsigned Line = Tok.Line;
     advance();
     if (N == "void")
       return Ctx.getVoidTy();
@@ -310,7 +320,7 @@ private:
       if (Bits == 1 || Bits == 8 || Bits == 16 || Bits == 32 || Bits == 64)
         return Ctx.getIntTy(Bits);
     }
-    error("unknown type '" + std::string(N) + "'");
+    errorAt(Line, "unknown type '" + std::string(N) + "'");
     return nullptr;
   }
 
@@ -319,13 +329,14 @@ private:
   //===------------------------------------------------------------------===//
 
   Constant *parseConstantLiteral(Type *Ty) {
+    unsigned Line = Tok.Line;
     if (Tok.Kind == TokKind::IntLit) {
       int64_t V = Tok.IntVal;
       advance();
       if (Ty->isFloat())
         return Ctx.getFloat(static_cast<double>(V));
       if (!Ty->isInteger()) {
-        error("integer literal for non-integer type");
+        errorAt(Line, "integer literal for non-integer type");
         return nullptr;
       }
       return Ctx.getInt(Ty, V);
@@ -334,7 +345,7 @@ private:
       double V = Tok.FloatVal;
       advance();
       if (!Ty->isFloat()) {
-        error("float literal for non-float type");
+        errorAt(Line, "float literal for non-float type");
         return nullptr;
       }
       return Ctx.getFloat(V);
@@ -470,9 +481,10 @@ private:
     return getOrCreateBlockSlot(S, Name).BB;
   }
 
-  void defineLocal(BodyState &S, std::string_view Name, Value *V) {
+  void defineLocal(BodyState &S, std::string_view Name, Value *V,
+                   unsigned Line) {
     if (!S.Locals.emplace(Name, V).second) {
-      error("redefinition of %" + std::string(Name));
+      errorAt(Line, "redefinition of %" + std::string(Name));
       return;
     }
     V->setName(std::string(Name));
@@ -498,8 +510,7 @@ private:
       auto It = S.Locals.find(Name);
       if (It != S.Locals.end()) {
         if (It->second->getType() != Ty) {
-          Tok.Line = Line;
-          error("type mismatch for %" + std::string(Name));
+          errorAt(Line, "type mismatch for %" + std::string(Name));
           return nullptr;
         }
         return It->second;
@@ -510,6 +521,7 @@ private:
     }
     if (Tok.Kind == TokKind::GlobalId) {
       std::string_view Name = Tok.Text;
+      unsigned Line = Tok.Line;
       advance();
       auto GIt = GlobalsByName.find(Name);
       if (GIt != GlobalsByName.end())
@@ -517,7 +529,7 @@ private:
       auto FIt = FunctionsByName.find(Name);
       if (FIt != FunctionsByName.end())
         return FIt->second;
-      error("unknown global @" + std::string(Name));
+      errorAt(Line, "unknown global @" + std::string(Name));
       return nullptr;
     }
     return parseConstantLiteral(Ty);
@@ -546,6 +558,7 @@ private:
       return;
     std::vector<Type *> Params;
     std::vector<std::string_view> ParamNames;
+    std::vector<unsigned> ParamLines;
     if (Tok.Kind != TokKind::RParen) {
       while (true) {
         Type *P = parseType();
@@ -557,6 +570,7 @@ private:
           return;
         }
         ParamNames.push_back(Tok.Text);
+        ParamLines.push_back(Tok.Line);
         advance();
         if (Tok.Kind == TokKind::Comma) {
           advance();
@@ -573,7 +587,7 @@ private:
     BodyState S;
     S.F = createFunction(RetTy, std::move(Params), Name);
     for (unsigned I = 0, E = ParamNames.size(); I != E; ++I)
-      defineLocal(S, ParamNames[I], S.F->getArg(I));
+      defineLocal(S, ParamNames[I], S.F->getArg(I), ParamLines[I]);
 
     BasicBlock *CurBB = nullptr;
     while (Err.empty() && Tok.Kind != TokKind::RBrace &&
@@ -584,11 +598,13 @@ private:
         // of a void instruction (store/br/ret/unreachable/call void).
         if (Lex.nextIsColon()) {
           std::string_view BlockName = Tok.Text;
+          unsigned Line = Tok.Line;
           advance();
           expect(TokKind::Colon, "':'");
           BodyState::BlockSlot &Slot = getOrCreateBlockSlot(S, BlockName);
           if (Slot.Defined) {
-            error("block %" + std::string(BlockName) + " defined twice");
+            errorAt(Line,
+                    "block %" + std::string(BlockName) + " defined twice");
             return;
           }
           Slot.Defined = true;
@@ -657,25 +673,26 @@ private:
       return;
     }
     std::string_view Op = Tok.Text;
+    unsigned OpLine = Tok.Line;
     advance();
 
     DeferList Defer;
-    Instruction *I = parseInstructionBody(S, BB, Op, Defer);
+    Instruction *I = parseInstructionBody(S, BB, Op, OpLine, Defer);
     if (!I)
       return;
     if (HasResult) {
       if (I->getType()->isVoid()) {
-        error("void instruction cannot have a result name");
+        errorAt(Line, "void instruction cannot have a result name");
         return;
       }
-      defineLocal(S, ResultName, I);
+      defineLocal(S, ResultName, I, Line);
     }
     recordFixups(S, I, Defer, Line);
   }
 
   Instruction *
   parseInstructionBody(BodyState &S, BasicBlock *BB, std::string_view Op,
-                       DeferList &Defer) {
+                       unsigned OpLine, DeferList &Defer) {
     // Parsed instructions live in the owning function's body arena.
     Arena &IArena = BB->getParent()->bodyArena();
     // Binary operators.
@@ -981,7 +998,7 @@ private:
       return I;
     }
 
-    error("unknown opcode '" + std::string(Op) + "'");
+    errorAt(OpLine, "unknown opcode '" + std::string(Op) + "'");
     return nullptr;
   }
 

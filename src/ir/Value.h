@@ -80,6 +80,7 @@ protected:
 
 private:
   friend class User;
+  friend class Function; // clears whole bodies' use lists at teardown
   void addUse(User *U) {
     if (tracksUses())
       Users.push_back(U);
@@ -154,6 +155,7 @@ protected:
   }
 
 private:
+  friend class Function; // drops whole bodies' operands at teardown
   std::vector<Value *> Operands;
 };
 

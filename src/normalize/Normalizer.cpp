@@ -10,7 +10,6 @@
 #include "ir/Module.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace llvmmd;
 
@@ -19,7 +18,11 @@ namespace {
 class RuleEngine {
 public:
   RuleEngine(ValueGraph &G, const RuleConfig &C, NormalizeStats &Stats)
-      : G(G), C(C), Stats(Stats) {}
+      : G(G), C(C), Stats(Stats) {
+    Live.reserve(G.size());
+    SweepOrder.reserve(G.size());
+    Stack.reserve(G.size());
+  }
 
   /// One full sweep over the live nodes; returns the number of effective
   /// rewrites (rule applications that merged two classes).
@@ -35,8 +38,8 @@ public:
     unsigned Before = Stats.Rewrites;
     // Iterate over a snapshot of live roots; rewrites may add nodes (they
     // are processed next sweep).
-    std::vector<NodeId> Work(Live.begin(), Live.end());
-    for (NodeId N : Work) {
+    SweepOrder.assign(Live.begin(), Live.end());
+    for (NodeId N : SweepOrder) {
       if (G.find(N) != N)
         continue; // already merged away this sweep
       applyRules(N);
@@ -61,18 +64,21 @@ private:
 
   void computeLive(const std::vector<NodeId> &Roots) {
     Live.clear();
-    std::vector<NodeId> WorkStack;
+    Marks.clear(G.size());
+    Stack.clear();
     for (NodeId R : Roots)
-      WorkStack.push_back(G.find(R));
-    while (!WorkStack.empty()) {
-      NodeId N = WorkStack.back();
-      WorkStack.pop_back();
-      if (!Live.insert(N).second)
+      Stack.push_back(G.find(R));
+    while (!Stack.empty()) {
+      NodeId N = Stack.back();
+      Stack.pop_back();
+      if (!Marks.insert(N))
         continue;
+      Live.push_back(N);
       for (NodeId Op : G.node(N).Ops)
         if (Op != InvalidNode)
-          WorkStack.push_back(G.find(Op));
+          Stack.push_back(G.find(Op));
     }
+    std::sort(Live.begin(), Live.end());
     LiveStamp = G.getMergeCount();
   }
 
@@ -686,20 +692,22 @@ private:
   /// Returns (gamma, c, trueVal, falseVal) via out-params.
   bool findInvariantGamma(NodeId Mu, NodeId &GammaOut, NodeId &CondOut,
                           NodeId &TrueOut, NodeId &FalseOut) {
-    std::set<NodeId> Seen;
-    std::vector<NodeId> Work{G.operand(Mu, 1)};
-    std::vector<NodeId> Candidates;
-    while (!Work.empty()) {
-      NodeId N = G.find(Work.back());
-      Work.pop_back();
-      if (!Seen.insert(N).second || Seen.size() > 512)
+    Marks.clear(G.size());
+    Stack.assign(1, G.operand(Mu, 1));
+    Candidates.clear();
+    unsigned Seen = 0;
+    while (!Stack.empty()) {
+      NodeId N = G.find(Stack.back());
+      Stack.pop_back();
+      // Nodes past the first 512 are marked but not expanded.
+      if (!Marks.insert(N) || ++Seen > 512)
         continue;
       const Node &Nd = G.node(N);
       if (Nd.Kind == NodeKind::Gamma && Nd.Ops.size() == 4)
         Candidates.push_back(N);
       for (NodeId Op : Nd.Ops)
         if (Op != InvalidNode)
-          Work.push_back(Op);
+          Stack.push_back(Op);
     }
     std::sort(Candidates.begin(), Candidates.end());
     for (NodeId N : Candidates) {
@@ -747,32 +755,40 @@ private:
   /// True if \p Target is reachable from \p From over current roots.
   bool reaches(NodeId From, NodeId Target) {
     Target = G.find(Target);
-    std::set<NodeId> Seen;
-    std::vector<NodeId> Work{G.find(From)};
-    while (!Work.empty()) {
-      NodeId N = G.find(Work.back());
-      Work.pop_back();
+    Marks.clear(G.size());
+    Stack.assign(1, G.find(From));
+    unsigned Seen = 0;
+    while (!Stack.empty()) {
+      NodeId N = G.find(Stack.back());
+      Stack.pop_back();
       if (N == Target)
         return true;
-      if (!Seen.insert(N).second || Seen.size() > 2048)
+      // Nodes past the first 2048 are marked but not expanded.
+      if (!Marks.insert(N) || ++Seen > 2048)
         continue;
       for (NodeId Op : G.node(N).Ops)
         if (Op != InvalidNode)
-          Work.push_back(Op);
+          Stack.push_back(Op);
     }
     return false;
   }
 
+  /// Marks a clone memo entry that has not been visited; InvalidNode
+  /// records a failed clone.
+  static constexpr NodeId Unvisited = InvalidNode - 1;
+
   /// Clones the cone of \p N substituting γ \p Gamma by \p Repl; nodes that
-  /// cannot reach either the γ or the μ \p Mu are shared, not cloned.
+  /// cannot reach either the γ or the μ \p Mu are shared, not cloned. Memo
+  /// maps a node id to its clone (or Unvisited); it only ever holds nodes
+  /// that existed when the clone began, since cloning merges nothing.
   NodeId cloneSubst(NodeId N, NodeId Gamma, NodeId Repl, NodeId Mu,
-                    std::map<NodeId, NodeId> &Memo) {
+                    std::vector<NodeId> &Memo) {
     N = G.find(N);
     if (N == G.find(Gamma))
       return cloneSubst(Repl, Gamma, Repl, Mu, Memo);
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+    assert(N < Memo.size() && "cloning reached a node newer than its memo");
+    if (Memo[N] != Unvisited)
+      return Memo[N];
     if (!reaches(N, Gamma) && !reaches(N, Mu)) {
       Memo[N] = N; // invariant: share
       return N;
@@ -857,12 +873,13 @@ private:
            FV = InvalidNode;
     if (!findInvariantGamma(Mu, Gamma, C2, TV, FV))
       return 0;
-    std::map<NodeId, NodeId> MemoT, MemoF;
     Type *EtaTy = G.node(N).Ty;
-    NodeId CondT = cloneSubst(Cond, Gamma, TV, Mu, MemoT);
-    NodeId MuT = cloneSubst(Mu, Gamma, TV, Mu, MemoT);
-    NodeId CondF = cloneSubst(Cond, Gamma, FV, Mu, MemoF);
-    NodeId MuF = cloneSubst(Mu, Gamma, FV, Mu, MemoF);
+    Memo.assign(G.size(), Unvisited);
+    NodeId CondT = cloneSubst(Cond, Gamma, TV, Mu, Memo);
+    NodeId MuT = cloneSubst(Mu, Gamma, TV, Mu, Memo);
+    Memo.assign(G.size(), Unvisited);
+    NodeId CondF = cloneSubst(Cond, Gamma, FV, Mu, Memo);
+    NodeId MuF = cloneSubst(Mu, Gamma, FV, Mu, Memo);
     if (CondT == InvalidNode || MuT == InvalidNode || CondF == InvalidNode ||
         MuF == InvalidNode)
       return 0; // unclonable cone; leave the η alone
@@ -1104,12 +1121,12 @@ private:
   /// disjoint from every pointer in \p PtrArgs and no opaque CallMem
   /// appears.
   bool muWritesDisjointFrom(NodeId Mu, const std::vector<NodeId> &PtrArgs) {
-    std::set<NodeId> Seen;
-    std::vector<NodeId> Work{G.find(G.node(Mu).Ops[1])};
-    while (!Work.empty()) {
-      NodeId M = G.find(Work.back());
-      Work.pop_back();
-      if (M == G.find(Mu) || !Seen.insert(M).second)
+    Marks.clear(G.size());
+    Stack.assign(1, G.find(G.node(Mu).Ops[1]));
+    while (!Stack.empty()) {
+      NodeId M = G.find(Stack.back());
+      Stack.pop_back();
+      if (M == G.find(Mu) || !Marks.insert(M))
         continue;
       const Node &NM = G.node(M);
       switch (NM.Kind) {
@@ -1118,26 +1135,26 @@ private:
         for (NodeId P : PtrArgs)
           if (G.aliasPointers(P, SP, 4096, 8) != 0)
             return false;
-        Work.push_back(NM.Ops[2]);
+        Stack.push_back(NM.Ops[2]);
         break;
       }
       case NodeKind::AllocMem:
-        Work.push_back(G.operand(G.find(NM.Ops[0]), 1));
+        Stack.push_back(G.operand(G.find(NM.Ops[0]), 1));
         break;
       case NodeKind::CallMem:
         return false;
       case NodeKind::Gamma:
         for (unsigned K = 1; K < NM.Ops.size(); K += 2)
-          Work.push_back(NM.Ops[K]);
+          Stack.push_back(NM.Ops[K]);
         break;
       case NodeKind::Eta:
-        Work.push_back(NM.Ops[1]);
+        Stack.push_back(NM.Ops[1]);
         break;
       case NodeKind::Mu:
         // A nested loop's memory: recurse through both sides.
         if (NM.Ops[0] != InvalidNode) {
-          Work.push_back(NM.Ops[0]);
-          Work.push_back(NM.Ops[1]);
+          Stack.push_back(NM.Ops[0]);
+          Stack.push_back(NM.Ops[1]);
         }
         break;
       case NodeKind::InitialMem:
@@ -1152,8 +1169,19 @@ private:
   ValueGraph &G;
   const RuleConfig &C;
   NormalizeStats &Stats;
-  std::set<NodeId> Live;
+  /// The live cone of GraphRoots (current roots), ascending.
+  std::vector<NodeId> Live;
   std::vector<NodeId> GraphRoots;
+  /// Scratch reused by every sweep and walk: the sweep's snapshot of Live,
+  /// and the visited set and stack of computeLive, reaches,
+  /// findInvariantGamma and muWritesDisjointFrom (none runs inside
+  /// another), plus findInvariantGamma's candidate γs.
+  std::vector<NodeId> SweepOrder;
+  NodeMarks Marks;
+  std::vector<NodeId> Stack;
+  std::vector<NodeId> Candidates;
+  /// cloneSubst's memo, by node id (see cloneSubst).
+  std::vector<NodeId> Memo;
   unsigned LiveStamp = 0;
   unsigned Unswitches = 0;
   Type *BoolTy = nullptr;

@@ -9,16 +9,62 @@
 #include "gated/GatedSSA.h"
 #include "ir/Module.h"
 
-#include <map>
+#include <cstdint>
+#include <tuple>
 
 using namespace llvmmd;
 
 namespace {
 
+/// The node of each evaluated instruction. Open addressing with linear
+/// probing over a table sized once for the function's instruction count
+/// (building never adds instructions), so it never rehashes and allocates
+/// nothing per entry.
+class InstructionNodeMap {
+public:
+  explicit InstructionNodeMap(size_t MaxEntries) {
+    unsigned Bits = 4;
+    while ((size_t(1) << Bits) < 2 * MaxEntries)
+      ++Bits;
+    Shift = 64 - Bits;
+    Keys.assign(size_t(1) << Bits, nullptr);
+    Ids.resize(Keys.size());
+  }
+
+  /// The node of \p I, or InvalidNode when \p I is not evaluated yet.
+  NodeId lookup(const Instruction *I) const {
+    for (size_t S = slotOf(I);; S = (S + 1) & (Keys.size() - 1)) {
+      if (Keys[S] == I)
+        return Ids[S];
+      if (!Keys[S])
+        return InvalidNode;
+    }
+  }
+
+  void set(const Instruction *I, NodeId Id) {
+    size_t S = slotOf(I);
+    while (Keys[S] && Keys[S] != I)
+      S = (S + 1) & (Keys.size() - 1);
+    Keys[S] = I;
+    Ids[S] = Id;
+  }
+
+private:
+  /// Fibonacci hashing: the top bits of the address times 2^64/φ.
+  size_t slotOf(const Instruction *I) const {
+    return (reinterpret_cast<uintptr_t>(I) * 0x9e3779b97f4a7c15ull) >> Shift;
+  }
+
+  std::vector<const Instruction *> Keys; ///< null marks an empty slot
+  std::vector<NodeId> Ids;
+  unsigned Shift;
+};
+
 class Builder {
 public:
   Builder(ValueGraph &G, const Function &F)
-      : G(G), F(F), Ctx(F.getParent()->getContext()), GA(F) {}
+      : G(G), F(F), Ctx(F.getParent()->getContext()), GA(F),
+        ValueMap(F.getInstructionCount()) {}
 
   BuildResult run() {
     BuildResult R;
@@ -28,6 +74,7 @@ public:
     }
 
     const DominatorTree &DT = GA.getDomTree();
+    MemOut.assign(DT.getRPO().size(), InvalidNode);
     for (const BasicBlock *BB : DT.getRPO()) {
       if (!processBlock(BB)) {
         R.Reason = Failure.empty() ? "unsupported construct" : Failure;
@@ -81,12 +128,11 @@ private:
       fail("unsupported value kind");
       return InvalidNode;
     }
-    auto It = ValueMap.find(I);
-    if (It == ValueMap.end()) {
+    NodeId Id = ValueMap.lookup(I);
+    if (Id == InvalidNode) {
       fail("use of unevaluated value (non-SSA input?)");
       return InvalidNode;
     }
-    NodeId Id = It->second;
     const LoopInfo &LI = GA.getLoopInfo();
     for (const Loop *L = LI.getLoopFor(I->getParent());
          L && !L->contains(UserBB); L = L->getParent())
@@ -172,8 +218,7 @@ private:
       // μ over memory; iteration side patched later.
       NodeId Mu = G.makeMu(nullptr);
       NodeId Init = mergeEdges(BB, /*InitOnly=*/true);
-      PendingMemMus.push_back({BB, Mu});
-      MuInit[Mu] = Init;
+      PendingMemMus.push_back({BB, Mu, Init});
       return Mu;
     }
     // Ordinary join (or effect-free loop header: latch memory equals the
@@ -187,16 +232,16 @@ private:
     const DominatorTree &DT = GA.getDomTree();
     const LoopInfo &LI = GA.getLoopInfo();
     const Loop *L = LI.getLoopFor(BB);
-    std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
+    Incoming.clear();
     for (const BasicBlock *P : DT.predecessors(BB)) {
-      if (!DT.isReachable(P))
-        continue;
+      unsigned PIdx = DT.getRPOIndex(P);
+      if (PIdx == ~0u)
+        continue; // unreachable
       if (InitOnly && L && L->contains(P))
         continue; // skip latches
-      auto It = MemOut.find(P);
-      if (It == MemOut.end())
+      if (MemOut[PIdx] == InvalidNode)
         continue; // back edge (patched later) — cannot happen for non-headers
-      NodeId M = wrapMemAcrossLoops(It->second, P, BB);
+      NodeId M = wrapMemAcrossLoops(MemOut[PIdx], P, BB);
       Incoming.emplace_back(P, M);
     }
     if (Incoming.empty()) {
@@ -231,11 +276,14 @@ private:
     const LoopInfo &LI = GA.getLoopInfo();
     const Loop *L = LI.getLoopFor(BB);
     bool IsHeader = L && L->getHeader() == BB;
-    for (const PhiNode *P : BB->phis()) {
+    for (const Instruction *I : *BB) {
+      const auto *P = dyn_cast<PhiNode>(I);
+      if (!P)
+        break; // the φs lead the block
       NodeId Id = IsHeader ? buildLoopPhi(P, *L) : buildGatedPhi(P);
       if (Id == InvalidNode)
         return false;
-      ValueMap[P] = Id;
+      ValueMap.set(P, Id);
     }
 
     for (const Instruction *I : *BB) {
@@ -244,7 +292,7 @@ private:
       if (!evalInstruction(I, BB, Mem))
         return false;
     }
-    MemOut[BB] = Mem;
+    MemOut[GA.getDomTree().getRPOIndex(BB)] = Mem;
     return true;
   }
 
@@ -294,8 +342,7 @@ private:
                       ? InitBranches.front().second
                       : G.getGamma(P->getType(), InitBranches);
     NodeId Mu = G.makeMu(P->getType());
-    MuInit[Mu] = Init;
-    PendingValueMus.push_back({P, Mu});
+    PendingValueMus.push_back({P, Mu, Init});
     return Mu;
   }
 
@@ -307,8 +354,8 @@ private:
       NodeId L = evalUse(C->getLHS(), BB), R = evalUse(C->getRHS(), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::ICmp, I->getType(), {L, R},
-                            static_cast<uint8_t>(C->getPred()));
+      ValueMap.set(I, G.getOp(Opcode::ICmp, I->getType(), {L, R},
+                              static_cast<uint8_t>(C->getPred())));
       return true;
     }
     case Opcode::FCmp: {
@@ -316,8 +363,8 @@ private:
       NodeId L = evalUse(C->getLHS(), BB), R = evalUse(C->getRHS(), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::FCmp, I->getType(), {L, R},
-                            static_cast<uint8_t>(C->getPred()));
+      ValueMap.set(I, G.getOp(Opcode::FCmp, I->getType(), {L, R},
+                              static_cast<uint8_t>(C->getPred())));
       return true;
     }
     case Opcode::Trunc:
@@ -326,7 +373,7 @@ private:
       NodeId S = evalUse(I->getOperand(0), BB);
       if (S == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(I->getOpcode(), I->getType(), {S});
+      ValueMap.set(I, G.getOp(I->getOpcode(), I->getType(), {S}));
       return true;
     }
     case Opcode::Select: {
@@ -339,7 +386,7 @@ private:
       Type *BoolTy = Ctx.getInt1Ty();
       NodeId NotC =
           G.getOp(Opcode::Xor, BoolTy, {C, G.getConstBool(BoolTy, true)});
-      ValueMap[I] = G.getGamma(I->getType(), {{C, T}, {NotC, E}});
+      ValueMap.set(I, G.getGamma(I->getType(), {{C, T}, {NotC, E}}));
       return true;
     }
     case Opcode::Alloca: {
@@ -349,7 +396,7 @@ private:
         return false;
       NodeId Alloc =
           G.getAlloc(Count, Mem, A->getAllocatedType()->getStoreSize());
-      ValueMap[I] = Alloc;
+      ValueMap.set(I, Alloc);
       Mem = G.getAllocMem(Alloc);
       return true;
     }
@@ -358,7 +405,7 @@ private:
       NodeId P = evalUse(Ld->getPointer(), BB);
       if (P == InvalidNode)
         return false;
-      ValueMap[I] = G.getLoad(I->getType(), P, Mem);
+      ValueMap.set(I, G.getLoad(I->getType(), P, Mem));
       return true;
     }
     case Opcode::Store: {
@@ -376,8 +423,8 @@ private:
       NodeId Idx = evalUse(GEP->getIndex(), BB);
       if (B == InvalidNode || Idx == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(Opcode::GEP, I->getType(), {B, Idx}, 0,
-                            GEP->getElementType()->getStoreSize());
+      ValueMap.set(I, G.getOp(Opcode::GEP, I->getType(), {B, Idx}, 0,
+                              GEP->getElementType()->getStoreSize()));
       return true;
     }
     case Opcode::Call: {
@@ -398,7 +445,7 @@ private:
       NodeId C = G.getCall(Callee->getName(), Callee->getMemoryEffect(),
                            I->getType(), std::move(Ops));
       if (!I->getType()->isVoid())
-        ValueMap[I] = C;
+        ValueMap.set(I, C);
       if (Callee->mayWriteMemory())
         Mem = G.getCallMem(C);
       return true;
@@ -423,7 +470,7 @@ private:
       NodeId R = evalUse(I->getOperand(1), BB);
       if (L == InvalidNode || R == InvalidNode)
         return false;
-      ValueMap[I] = G.getOp(I->getOpcode(), I->getType(), {L, R});
+      ValueMap.set(I, G.getOp(I->getOpcode(), I->getType(), {L, R}));
       return true;
     }
     }
@@ -434,7 +481,7 @@ private:
   //===------------------------------------------------------------------===//
 
   void patchMus() {
-    for (auto &[P, Mu] : PendingValueMus) {
+    for (auto &[P, Mu, Init] : PendingValueMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(P->getParent());
       assert(L && "pending mu outside loop");
       std::vector<std::pair<NodeId, NodeId>> LatchBranches;
@@ -456,18 +503,18 @@ private:
       NodeId Next = LatchBranches.size() == 1
                         ? LatchBranches.front().second
                         : G.getGamma(P->getType(), LatchBranches);
-      G.setMuOperands(Mu, MuInit[Mu], Next);
+      G.setMuOperands(Mu, Init, Next);
     }
-    for (auto &[Header, Mu] : PendingMemMus) {
+    for (auto &[Header, Mu, Init] : PendingMemMus) {
       const Loop *L = GA.getLoopInfo().getLoopFor(Header);
       assert(L && L->getHeader() == Header && "bad pending memory mu");
       std::vector<std::pair<NodeId, NodeId>> LatchBranches;
       for (const BasicBlock *Latch : L->getLatches()) {
-        auto It = MemOut.find(Latch);
-        if (It == MemOut.end())
+        unsigned LIdx = GA.getDomTree().getRPOIndex(Latch);
+        if (LIdx == ~0u || MemOut[LIdx] == InvalidNode)
           continue;
         NodeId C = gateToNode(GA.getLatchGate(Latch, Header), Header);
-        LatchBranches.emplace_back(C, It->second);
+        LatchBranches.emplace_back(C, MemOut[LIdx]);
       }
       if (LatchBranches.empty()) {
         fail("memory mu without latch state");
@@ -476,7 +523,7 @@ private:
       NodeId Next = LatchBranches.size() == 1
                         ? LatchBranches.front().second
                         : G.getGamma(nullptr, LatchBranches);
-      G.setMuOperands(Mu, MuInit[Mu], Next);
+      G.setMuOperands(Mu, Init, Next);
     }
   }
 
@@ -489,11 +536,15 @@ private:
   const Function &F;
   Context &Ctx;
   GatingAnalysis GA;
-  std::map<const Value *, NodeId> ValueMap;
-  std::map<const BasicBlock *, NodeId> MemOut;
-  std::map<NodeId, NodeId> MuInit;
-  std::vector<std::pair<const PhiNode *, NodeId>> PendingValueMus;
-  std::vector<std::pair<const BasicBlock *, NodeId>> PendingMemMus;
+  InstructionNodeMap ValueMap;
+  /// Memory state leaving each evaluated block, by RPO index; InvalidNode
+  /// until the block is evaluated.
+  std::vector<NodeId> MemOut;
+  /// μ nodes awaiting their iteration side: (φ or loop header, μ, init).
+  std::vector<std::tuple<const PhiNode *, NodeId, NodeId>> PendingValueMus;
+  std::vector<std::tuple<const BasicBlock *, NodeId, NodeId>> PendingMemMus;
+  /// mergeEdges' (predecessor, memory state) list, reused across joins.
+  std::vector<std::pair<const BasicBlock *, NodeId>> Incoming;
   NodeId RetNode = InvalidNode;
   std::string Failure;
 };

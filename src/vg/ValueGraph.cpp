@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -82,6 +81,7 @@ bool ValueGraph::mergeInto(NodeId From, NodeId Into) {
     return false;
   Parent[A] = B;
   ++MergeCount;
+  ++Version;
   return true;
 }
 
@@ -140,15 +140,45 @@ NodeId ValueGraph::intern(Node N) {
     Op = find(Op);
     H = hashCombine(H, Op);
   }
-  std::vector<NodeId> &Bucket = HashCons[H];
-  for (NodeId Candidate : Bucket)
-    if (nodeEquals(Nodes[Candidate], N))
-      return find(Candidate);
+  if (ConsNode.empty()) {
+    ConsHash.assign(256, 0);
+    ConsNode.assign(256, InvalidNode);
+  }
+  size_t Mask = ConsNode.size() - 1;
+  size_t Slot = H & Mask;
+  for (; ConsNode[Slot] != InvalidNode; Slot = (Slot + 1) & Mask)
+    if (ConsHash[Slot] == H && nodeEquals(Nodes[ConsNode[Slot]], N))
+      return find(ConsNode[Slot]);
   NodeId Id = static_cast<NodeId>(Nodes.size());
   Nodes.push_back(std::move(N));
   Parent.push_back(Id);
   HeadHashes.push_back(Head);
-  Bucket.push_back(Id);
+  ++Version;
+  if (2 * (ConsCount + 1) > ConsNode.size()) {
+    // Grow, re-inserting in interning (id) order so that equal hashes keep
+    // probing oldest first.
+    std::vector<std::pair<NodeId, uint64_t>> Entries;
+    Entries.reserve(ConsCount);
+    for (size_t K = 0; K != ConsNode.size(); ++K)
+      if (ConsNode[K] != InvalidNode)
+        Entries.emplace_back(ConsNode[K], ConsHash[K]);
+    std::sort(Entries.begin(), Entries.end());
+    ConsHash.assign(2 * ConsNode.size(), 0);
+    ConsNode.assign(ConsHash.size(), InvalidNode);
+    Mask = ConsNode.size() - 1;
+    Entries.emplace_back(Id, H);
+    for (auto [E, EH] : Entries) {
+      for (Slot = EH & Mask; ConsNode[Slot] != InvalidNode;
+           Slot = (Slot + 1) & Mask)
+        ;
+      ConsHash[Slot] = EH;
+      ConsNode[Slot] = E;
+    }
+  } else {
+    ConsHash[Slot] = H;
+    ConsNode[Slot] = Id;
+  }
+  ++ConsCount;
   return Id;
 }
 
@@ -258,6 +288,7 @@ NodeId ValueGraph::makeMu(Type *Ty) {
   HeadHashes.push_back(hashNodeHead(N));
   Nodes.push_back(std::move(N));
   Parent.push_back(Id);
+  ++Version;
   return Id; // deliberately not hash-consed
 }
 
@@ -266,6 +297,7 @@ void ValueGraph::setMuOperands(NodeId Mu, NodeId Init, NodeId Next) {
   assert(N.Kind == NodeKind::Mu && "not a mu node");
   N.Ops[0] = find(Init);
   N.Ops[1] = find(Next);
+  ++Version;
 }
 
 NodeId ValueGraph::getAlloc(NodeId Count, NodeId MemIn, unsigned ElemSize) {
@@ -376,6 +408,11 @@ struct ValueGraph::SharingState {
   std::vector<NodeId> Dirty;
   std::vector<uint8_t> Queued;
 
+  /// μ unification's scratch: the μ roots of one pass and the undo log of
+  /// one unify attempt.
+  std::vector<NodeId> LiveMus;
+  std::vector<std::pair<NodeId, NodeId>> Assumed;
+
   void memoInsert(const ValueGraph &G, uint64_t H, NodeId Id);
 };
 
@@ -457,6 +494,7 @@ bool ValueGraph::shareMerge(SharingState &S, NodeId From, NodeId Into) {
 
 void ValueGraph::canonicalizeNode(NodeId Id) {
   Node &N = Nodes[Id];
+  ++Version;
   if (N.Kind == NodeKind::Gamma) {
     std::vector<NodeId> &Ops = N.Ops;
     for (NodeId &Op : Ops)
@@ -533,12 +571,14 @@ unsigned ValueGraph::congruencePass(SharingState &S) {
 
 unsigned ValueGraph::muUnificationPass(SharingState &S) {
   // μ roots in deterministic (id) order.
-  std::vector<NodeId> Mus;
+  std::vector<NodeId> &Mus = S.LiveMus;
+  Mus.clear();
   for (NodeId M : S.Mus)
     if (find(M) == M)
       Mus.push_back(M);
 
   unsigned Merges = 0;
+  std::vector<std::pair<NodeId, NodeId>> &Assumed = S.Assumed;
   for (unsigned A = 0; A < Mus.size(); ++A) {
     for (unsigned B = A + 1; B < Mus.size(); ++B) {
       NodeId X = find(Mus[A]), Y = find(Mus[B]);
@@ -551,11 +591,13 @@ unsigned ValueGraph::muUnificationPass(SharingState &S) {
         continue;
       if (find(NX.Ops[0]) != find(NY.Ops[0]))
         continue; // same initial value required
-      // Parallel unification under the assumption X == Y.
-      std::set<std::pair<NodeId, NodeId>> Assumed;
+      // Parallel unification under the assumption X == Y; the assumed
+      // pairs are merged in ascending pair order.
+      Assumed.clear();
       if (unify(X, Y, Assumed, 0)) {
+        std::sort(Assumed.begin(), Assumed.end());
         for (auto &[P, Q] : Assumed)
-          Merges += shareMerge(S, std::max(P, Q), std::min(P, Q));
+          Merges += shareMerge(S, Q, P);
       }
     }
   }
@@ -563,7 +605,7 @@ unsigned ValueGraph::muUnificationPass(SharingState &S) {
 }
 
 bool ValueGraph::unify(NodeId X, NodeId Y,
-                       std::set<std::pair<NodeId, NodeId>> &Assumed,
+                       std::vector<std::pair<NodeId, NodeId>> &Assumed,
                        unsigned Depth) const {
   if (Depth > 4096)
     return false;
@@ -571,8 +613,8 @@ bool ValueGraph::unify(NodeId X, NodeId Y,
   Y = find(Y);
   if (X == Y)
     return true;
-  auto Pair = std::minmax(X, Y);
-  if (Assumed.count({Pair.first, Pair.second}))
+  const std::pair<NodeId, NodeId> Pair = std::minmax(X, Y);
+  if (std::find(Assumed.begin(), Assumed.end(), Pair) != Assumed.end())
     return true;
   const Node &NX = Nodes[X], &NY = Nodes[Y];
   if (NX.Kind != NY.Kind || NX.Op != NY.Op || NX.Pred != NY.Pred ||
@@ -584,25 +626,21 @@ bool ValueGraph::unify(NodeId X, NodeId Y,
   std::memcpy(&BY, &NY.FloatVal, sizeof(BY));
   if (BX != BY)
     return false;
-  Assumed.insert({Pair.first, Pair.second});
+  Assumed.push_back(Pair);
   // Commutative operators need the prolog-style backtracking the paper
-  // mentions (§5.4): the two orderings may differ before merging.
+  // mentions (§5.4): the two orderings may differ before merging. A failed
+  // ordering takes back every assumption it made.
   if (NX.Kind == NodeKind::Op && isCommutativeOp(NX.Op) &&
       NX.Ops.size() == 2) {
-    {
-      std::set<std::pair<NodeId, NodeId>> Copy = Assumed;
-      if (unify(NX.Ops[0], NY.Ops[0], Copy, Depth + 1) &&
-          unify(NX.Ops[1], NY.Ops[1], Copy, Depth + 1)) {
-        Assumed = std::move(Copy);
-        return true;
-      }
-    }
-    std::set<std::pair<NodeId, NodeId>> Copy = Assumed;
-    if (unify(NX.Ops[0], NY.Ops[1], Copy, Depth + 1) &&
-        unify(NX.Ops[1], NY.Ops[0], Copy, Depth + 1)) {
-      Assumed = std::move(Copy);
+    const size_t Mark = Assumed.size();
+    if (unify(NX.Ops[0], NY.Ops[0], Assumed, Depth + 1) &&
+        unify(NX.Ops[1], NY.Ops[1], Assumed, Depth + 1))
       return true;
-    }
+    Assumed.resize(Mark);
+    if (unify(NX.Ops[0], NY.Ops[1], Assumed, Depth + 1) &&
+        unify(NX.Ops[1], NY.Ops[0], Assumed, Depth + 1))
+      return true;
+    Assumed.resize(Mark);
     return false;
   }
   for (unsigned I = 0, E = NX.Ops.size(); I != E; ++I) {
@@ -782,78 +820,108 @@ unsigned ValueGraph::maximizeSharing(SharingStrategy Strategy) {
 //===----------------------------------------------------------------------===//
 
 bool ValueGraph::coneContainsMu(NodeId Id) const {
-  std::set<NodeId> Seen;
-  std::vector<NodeId> Work{find(Id)};
-  while (!Work.empty()) {
-    NodeId N = Work.back();
-    Work.pop_back();
-    if (!Seen.insert(N).second)
+  Marks.clear(Nodes.size());
+  Stack.assign(1, find(Id));
+  while (!Stack.empty()) {
+    NodeId N = Stack.back();
+    Stack.pop_back();
+    if (!Marks.insert(N))
       continue;
     const Node &Nd = Nodes[N];
     if (Nd.Kind == NodeKind::Mu)
       return true;
     for (NodeId Op : Nd.Ops)
       if (Op != InvalidNode)
-        Work.push_back(find(Op));
+        Stack.push_back(find(Op));
   }
   return false;
+}
+
+void ValueGraph::ensureUseIndex() const {
+  if (UseIndexVersion == Version)
+    return;
+  const NodeId N = static_cast<NodeId>(Nodes.size());
+  // Count each class's uses into UseBegin[C + 1], prefix-sum them into
+  // start offsets, then fill: filling advances UseBegin[C] to C's end,
+  // which is C + 1's start, so one shift restores the offsets.
+  UseBegin.assign(N + 1, 0);
+  for (NodeId U = 0; U < N; ++U)
+    if (find(U) == U)
+      for (NodeId Op : Nodes[U].Ops)
+        if (Op != InvalidNode)
+          ++UseBegin[find(Op) + 1];
+  for (NodeId C = 0; C < N; ++C)
+    UseBegin[C + 1] += UseBegin[C];
+  Uses.resize(UseBegin[N]);
+  for (NodeId U = 0; U < N; ++U) {
+    if (find(U) != U)
+      continue;
+    const std::vector<NodeId> &Ops = Nodes[U].Ops;
+    for (uint32_t K = 0, E = Ops.size(); K != E; ++K)
+      if (Ops[K] != InvalidNode)
+        Uses[UseBegin[find(Ops[K])]++] = {U, K};
+  }
+  for (NodeId C = N; C > 0; --C)
+    UseBegin[C] = UseBegin[C - 1];
+  UseBegin[0] = 0;
+  UseIndexVersion = Version;
 }
 
 bool ValueGraph::isNonEscapingAlloc(NodeId Alloc) const {
   // Pointers *derived* from the allocation (GEPs, and γ/μ/η selections that
   // may yield it) are tracked transitively; the allocation escapes when any
   // derived pointer is stored as a value, passed to a call, or returned.
-  std::set<NodeId> Derived{find(Alloc)};
-  std::vector<NodeId> Work{find(Alloc)};
+  // The use index lists every root's uses of a derived pointer, so each
+  // derived pointer costs its own uses, not a scan of the graph.
+  ensureUseIndex();
+  Marks.clear(Nodes.size());
+  Stack.assign(1, find(Alloc));
+  Marks.insert(Stack.back());
   auto Derive = [&](NodeId N) {
-    if (Derived.insert(N).second)
-      Work.push_back(N);
+    if (Marks.insert(N))
+      Stack.push_back(N);
   };
-  while (!Work.empty()) {
-    NodeId Target = Work.back();
-    Work.pop_back();
-    for (NodeId I = 0; I < Nodes.size(); ++I) {
-      if (find(I) != I)
-        continue;
+  while (!Stack.empty()) {
+    NodeId Target = Stack.back();
+    Stack.pop_back();
+    for (uint32_t U = UseBegin[Target], E = UseBegin[Target + 1]; U != E;
+         ++U) {
+      auto [I, K] = Uses[U];
       const Node &N = Nodes[I];
-      for (unsigned K = 0, E = N.Ops.size(); K != E; ++K) {
-        if (N.Ops[K] == InvalidNode || find(N.Ops[K]) != Target)
-          continue;
-        switch (N.Kind) {
-        case NodeKind::Load:
-          if (K != 0)
-            return false; // used as a memory state?! treat as escape
-          break;
-        case NodeKind::Store:
-          if (K != 1)
-            return false; // stored as a value: escapes
-          break;
-        case NodeKind::AllocMem:
-          break;
-        case NodeKind::Op:
-          if (N.Op == Opcode::GEP && K == 0) {
-            Derive(I);
-            break;
-          }
-          if (N.Op == Opcode::ICmp)
-            break; // address comparisons do not publish the pointer
-          return false;
-        case NodeKind::Gamma:
-          // The γ result may be this pointer; track it. Condition slots
-          // (even indices) cannot hold a pointer.
-          if (K % 2 == 1)
-            Derive(I);
-          break;
-        case NodeKind::Mu:
+      switch (N.Kind) {
+      case NodeKind::Load:
+        if (K != 0)
+          return false; // used as a memory state?! treat as escape
+        break;
+      case NodeKind::Store:
+        if (K != 1)
+          return false; // stored as a value: escapes
+        break;
+      case NodeKind::AllocMem:
+        break;
+      case NodeKind::Op:
+        if (N.Op == Opcode::GEP && K == 0) {
           Derive(I);
           break;
-        case NodeKind::Eta:
-          if (K == 1)
-            Derive(I);
-          break;
-        default:
-          return false; // calls, returns, anything else: escape
         }
+        if (N.Op == Opcode::ICmp)
+          break; // address comparisons do not publish the pointer
+        return false;
+      case NodeKind::Gamma:
+        // The γ result may be this pointer; track it. Condition slots
+        // (even indices) cannot hold a pointer.
+        if (K % 2 == 1)
+          Derive(I);
+        break;
+      case NodeKind::Mu:
+        Derive(I);
+        break;
+      case NodeKind::Eta:
+        if (K == 1)
+          Derive(I);
+        break;
+      default:
+        return false; // calls, returns, anything else: escape
       }
     }
   }
@@ -969,50 +1037,49 @@ bool isIdentifiedVG(const Node &N) {
   return N.Kind == NodeKind::Alloc || N.Kind == NodeKind::Global;
 }
 
-/// All bases a pointer may resolve to, following GEPs and the selecting
-/// structure (γ branches, μ streams, η values). Returns false when the set
-/// is unbounded or contains something unanalyzable.
-bool possibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out) {
-  std::set<NodeId> Seen;
-  std::vector<NodeId> Work{G.find(P)};
-  while (!Work.empty()) {
-    NodeId N = G.find(Work.back());
-    Work.pop_back();
-    if (!Seen.insert(N).second)
+} // namespace
+
+bool ValueGraph::possibleBases(NodeId P, std::vector<NodeId> &Out) const {
+  Out.clear();
+  Marks.clear(Nodes.size());
+  Stack.assign(1, find(P));
+  unsigned Seen = 0;
+  while (!Stack.empty()) {
+    NodeId N = find(Stack.back());
+    Stack.pop_back();
+    if (!Marks.insert(N))
       continue;
-    if (Seen.size() > 64)
+    if (++Seen > 64)
       return false;
-    const Node &Nd = G.node(N);
+    const Node &Nd = Nodes[N];
     switch (Nd.Kind) {
     case NodeKind::Op:
       if (Nd.Op == Opcode::GEP) {
-        Work.push_back(Nd.Ops[0]);
+        Stack.push_back(Nd.Ops[0]);
         break;
       }
-      Out.insert(N);
+      Out.push_back(N);
       break;
     case NodeKind::Gamma:
       for (unsigned K = 1; K < Nd.Ops.size(); K += 2)
-        Work.push_back(Nd.Ops[K]);
+        Stack.push_back(Nd.Ops[K]);
       break;
     case NodeKind::Mu:
       if (Nd.Ops[0] == InvalidNode)
         return false;
-      Work.push_back(Nd.Ops[0]);
-      Work.push_back(Nd.Ops[1]);
+      Stack.push_back(Nd.Ops[0]);
+      Stack.push_back(Nd.Ops[1]);
       break;
     case NodeKind::Eta:
-      Work.push_back(Nd.Ops[1]);
+      Stack.push_back(Nd.Ops[1]);
       break;
     default:
-      Out.insert(N);
+      Out.push_back(N);
       break;
     }
   }
   return true;
 }
-
-} // namespace
 
 std::string ValueGraph::dump(const std::vector<NodeId> &Roots) const {
   std::set<NodeId> Seen;
@@ -1081,9 +1148,9 @@ int ValueGraph::aliasPointers(NodeId P, NodeId Q, unsigned SizeP,
   // provably distinct from every possible base of the other. γ/μ/η nodes
   // may *select* an allocation, so the non-escaping rule must look through
   // them rather than treat them as fresh objects.
-  std::set<NodeId> BasesA, BasesB;
-  if (!possibleBases(*this, A.Base, BasesA) ||
-      !possibleBases(*this, B.Base, BasesB))
+  // Whether some pair fails does not depend on the order the bases are
+  // listed in, so they are kept in walk order.
+  if (!possibleBases(A.Base, BasesA) || !possibleBases(B.Base, BasesB))
     return 1;
   for (NodeId PA : BasesA) {
     for (NodeId PB : BasesB) {

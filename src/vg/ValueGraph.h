@@ -28,10 +28,11 @@
 #include "ir/Type.h"
 #include "support/Arena.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace llvmmd {
@@ -71,6 +72,35 @@ struct Node {
   double FloatVal = 0;
   std::string Str;
   std::vector<NodeId> Ops;
+};
+
+/// A visited set over node ids for graph walks, reused across walks:
+/// clear() starts a new epoch in O(1) instead of touching every mark, so a
+/// walk costs what it visits. Walks that share one NodeMarks must not
+/// interleave.
+class NodeMarks {
+public:
+  /// Empties the set and makes room for ids below \p NumNodes.
+  void clear(size_t NumNodes) {
+    if (Stamp.size() < NumNodes)
+      Stamp.resize(NumNodes, 0);
+    if (++Epoch == 0) { // wrapped: no stale stamp may equal the new epoch
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
+    }
+  }
+  /// Adds \p Id; false when it was already in the set.
+  bool insert(NodeId Id) {
+    assert(Id < Stamp.size() && "node id beyond the last clear()");
+    if (Stamp[Id] == Epoch)
+      return false;
+    Stamp[Id] = Epoch;
+    return true;
+  }
+
+private:
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
 };
 
 /// Sharing maximization strategy (§5.4 of the paper).
@@ -199,9 +229,22 @@ private:
   static bool nodeEquals(const Node &A, const Node &B);
 
   /// Parallel structural unification under cycle assumptions (§5.4's
-  /// "simple unification algorithm").
-  bool unify(NodeId X, NodeId Y, std::set<std::pair<NodeId, NodeId>> &Assumed,
+  /// "simple unification algorithm"). \p Assumed is an undo log of the
+  /// (smaller, larger) pairs assumed equal so far; a failed commutative
+  /// attempt truncates it back to where the attempt began.
+  bool unify(NodeId X, NodeId Y,
+             std::vector<std::pair<NodeId, NodeId>> &Assumed,
              unsigned Depth) const;
+
+  /// All bases pointer \p P may resolve to, following GEPs and the
+  /// selecting structure (γ branches, μ streams, η values), each once.
+  /// Returns false when the set is unbounded or contains something
+  /// unanalyzable.
+  bool possibleBases(NodeId P, std::vector<NodeId> &Out) const;
+
+  /// Rebuilds the use index unless the graph is unchanged since it was
+  /// last built.
+  void ensureUseIndex() const;
 
   /// Use index, congruence memo and repair worklist of one
   /// maximizeSharing call (defined in ValueGraph.cpp).
@@ -249,12 +292,32 @@ private:
   NodeTable Nodes;
   mutable std::vector<NodeId> Parent;
   std::vector<uint64_t> HeadHashes; ///< hashNodeHead of each node
-  /// Structural hash -> candidate ids (collision bucket). Keys are frozen at
-  /// intern time, like the interned nodes' operand lists; later union-find
-  /// merges can make equal-shaped nodes miss, which the sharing-maximization
-  /// congruence pass cleans up.
-  std::unordered_map<uint64_t, std::vector<NodeId>> HashCons;
+  /// Hash-cons table: open-addressed (linear probing, never deleted from)
+  /// multimap from a node's structural hash to its id. Entries with equal
+  /// hashes sit along one probe run in interning order, so candidates are
+  /// probed oldest first. Keys are frozen at intern time, like the interned
+  /// nodes' operand lists; later union-find merges can make equal-shaped
+  /// nodes miss, which the sharing-maximization congruence pass cleans up.
+  std::vector<uint64_t> ConsHash;
+  std::vector<NodeId> ConsNode; ///< InvalidNode marks an empty slot
+  size_t ConsCount = 0;
   unsigned MergeCount = 0;
+  /// Bumped by every change to a node, an operand list or the union-find
+  /// classes; the use index is valid while it stays put.
+  uint64_t Version = 0;
+
+  /// Scratch state of the const cone queries, reused across calls. The
+  /// walks of coneContainsMu, possibleBases and isNonEscapingAlloc share
+  /// Marks and Stack; none of them runs inside another.
+  mutable NodeMarks Marks;
+  mutable std::vector<NodeId> Stack;
+  mutable std::vector<NodeId> BasesA, BasesB;
+  /// Use index of the roots (CSR): the (user root, operand slot) pairs
+  /// whose operand is class C are Uses[UseBegin[C] .. UseBegin[C + 1]), in
+  /// user then slot order. Built for graph version UseIndexVersion.
+  mutable std::vector<uint32_t> UseBegin;
+  mutable std::vector<std::pair<NodeId, uint32_t>> Uses;
+  mutable uint64_t UseIndexVersion = ~uint64_t(0);
 };
 
 } // namespace llvmmd

@@ -14,7 +14,9 @@
 #include "TestUtil.h"
 
 #include "ir/Cloning.h"
+#include "opt/Pass.h"
 #include "support/Arena.h"
+#include "validator/Validator.h"
 #include "workload/Generator.h"
 #include "workload/Profiles.h"
 
@@ -182,6 +184,51 @@ TEST(ArenaTest, DropBodyAndRecloneReusesTheSlab) {
         << "body arena grew on cycle " << Cycle;
   }
   expectVerified(*M);
+}
+
+TEST(ArenaTest, DropBodyForgetsEveryUseAndRevalidatesIdentically) {
+  // dropBody clears the use lists of a body's arguments and instructions
+  // wholesale rather than unregistering operands one at a time. Afterwards
+  // no argument may keep a user, and a body re-cloned into the function
+  // must validate exactly like the body it replaced.
+  Context Ctx;
+  BenchmarkProfile P = getProfile("sqlite");
+  P.FunctionCount = 8;
+  auto Orig = generateBenchmark(Ctx, P);
+  auto Opt = cloneModule(*Orig);
+  PassManager PM;
+  ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+  PM.run(*Opt);
+  auto Pristine = cloneModule(*Opt);
+  RuleConfig Rules;
+  Rules.M = Orig.get();
+
+  unsigned ArgsWithUses = 0;
+  for (Function *F : Opt->definedFunctions()) {
+    const Function &Src = *Orig->getFunction(F->getName());
+    ValidationResult Before = validatePair(Src, *F, Rules);
+    for (unsigned A = 0; A < F->getNumArgs(); ++A)
+      ArgsWithUses += !F->getArg(A)->use_empty();
+
+    F->dropBody();
+    for (unsigned A = 0; A < F->getNumArgs(); ++A)
+      EXPECT_TRUE(F->getArg(A)->use_empty())
+          << F->getName() << " arg " << A << " kept a user";
+    cloneFunctionBody(*Pristine->getFunction(F->getName()), *F);
+    remapModuleReferences(*F, *Opt);
+
+    ValidationResult After = validatePair(Src, *F, Rules);
+    EXPECT_EQ(After.Validated, Before.Validated) << F->getName();
+    EXPECT_EQ(After.Reason, Before.Reason) << F->getName();
+    EXPECT_EQ(After.GraphNodes, Before.GraphNodes) << F->getName();
+    EXPECT_EQ(After.LiveNodes, Before.LiveNodes) << F->getName();
+    EXPECT_EQ(After.Rewrites, Before.Rewrites) << F->getName();
+    EXPECT_EQ(After.SharingMerges, Before.SharingMerges) << F->getName();
+    EXPECT_EQ(After.Iterations, Before.Iterations) << F->getName();
+  }
+  EXPECT_GT(ArgsWithUses, 0u) << "no argument had a use to drop";
+  expectVerified(*Opt);
+  EXPECT_EQ(printModule(*Opt), printModule(*Pristine));
 }
 
 TEST(ArenaTest, EightThreadsMutateTheirOwnModulesInIsolation) {

@@ -140,6 +140,39 @@ entry:
 )"));
 }
 
+TEST(Parser, ErrorsNameTheOffendingTokensLine) {
+  // Each error is about a token the parser has already consumed; the line
+  // reported is that token's, not the line of the token after it.
+  Context Ctx;
+  auto ErrorOf = [&](const char *Text) {
+    ParseResult R = parseModule(Ctx, Text);
+    EXPECT_FALSE(R);
+    return R.Error;
+  };
+  EXPECT_EQ(ErrorOf("define i32 @f() {\nentry:\n  bogus\n}"),
+            "line 3: unknown opcode 'bogus'");
+  EXPECT_EQ(ErrorOf("define i32 @f() {\nentry:\n  %x = add i33\n 1, 2\n"
+                    "  ret i32 %x\n}"),
+            "line 3: unknown type 'i33'");
+  EXPECT_EQ(ErrorOf("define i32 @f(i32 %a) {\nentry:\n  %x = add i64 %a\n"
+                    ", 2\n  ret i32 %x\n}"),
+            "line 3: type mismatch for %a");
+  EXPECT_EQ(ErrorOf("define i32 @f() {\nentry:\n  %x = add ptr 1\n, 2\n"
+                    "  ret i32 0\n}"),
+            "line 3: integer literal for non-integer type");
+  EXPECT_EQ(ErrorOf("define ptr @f() {\nentry:\n  ret ptr @nope\n}"),
+            "line 3: unknown global @nope");
+  EXPECT_EQ(ErrorOf("define i32 @f(i32 %a) {\nentry:\n  %x = add i32 %a, 1\n"
+                    "  %x = add i32 %a, 2\n  ret i32 %x\n}"),
+            "line 4: redefinition of %x");
+  EXPECT_EQ(ErrorOf("define void @f() {\nentry:\n  br label %entry\n"
+                    "entry:\n  ret void\n}"),
+            "line 4: block %entry defined twice");
+  // An error at the current token still names that token.
+  EXPECT_EQ(ErrorOf("define i32 @f() {\nentry:\n  ret i32 1\n"),
+            "line 4: expected '}'");
+}
+
 TEST(Printer, RoundTripStable) {
   Context Ctx;
   const char *Src = R"(

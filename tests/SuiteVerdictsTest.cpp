@@ -11,7 +11,12 @@
 // or that moves a single statistic, fails here, so "verdicts and statistics
 // unchanged" is a standing gate and not a one-off claim.
 //
-// To regenerate the fixture after an intended verdict change, run the test
+// The same suite under RS_All (what --all-rules selects) is pinned in
+// tests/fixtures/suite_verdicts_all_rules.tsv: only there do the libc
+// extension rules (call-over-store, call-over-loop, load-over-memset) run
+// beside dead-store and dead-allocation removal.
+//
+// To regenerate the fixtures after an intended verdict change, run the test
 // binary with LLVMMD_UPDATE_FIXTURES=1 and review the diff.
 //
 //===----------------------------------------------------------------------===//
@@ -35,15 +40,15 @@ using namespace llvmmd;
 
 namespace {
 
-std::string fixturePath() {
-  return std::string(LLVMMD_SOURCE_DIR) + "/tests/fixtures/suite_verdicts.tsv";
+std::string fixturePath(const char *Name) {
+  return std::string(LLVMMD_SOURCE_DIR) + "/tests/fixtures/" + Name;
 }
 
 /// One line per function, in suite then module order:
 /// module/function <TAB> 0|1 <TAB> reason <TAB> fingerprint_opt (hex)
 /// <TAB> rewrites <TAB> sharing_merges <TAB> graph_nodes <TAB> live_nodes
 /// <TAB> iterations <TAB> equal_on_construction (0|1).
-std::vector<std::string> suiteVerdictRows() {
+std::vector<std::string> suiteVerdictRows(unsigned RuleMask) {
   Context Ctx;
   std::vector<std::unique_ptr<Module>> Owned;
   std::vector<const Module *> Mods;
@@ -53,6 +58,7 @@ std::vector<std::string> suiteVerdictRows() {
   }
   EngineConfig Cfg;
   Cfg.Threads = 4;
+  Cfg.Rules.Mask = RuleMask;
   ValidationEngine Engine(Cfg);
   SuiteRun Run = Engine.runSuite(Mods, getPaperPipeline());
 
@@ -73,23 +79,24 @@ std::vector<std::string> suiteVerdictRows() {
   return Rows;
 }
 
-} // namespace
-
-TEST(SuiteVerdictsTest, MatchesPinnedFixture) {
-  std::vector<std::string> Rows = suiteVerdictRows();
+/// Compares the suite's rows under \p RuleMask with the fixture \p Name,
+/// or rewrites the fixture when LLVMMD_UPDATE_FIXTURES=1.
+void checkPinnedFixture(unsigned RuleMask, const char *Name) {
+  std::vector<std::string> Rows = suiteVerdictRows(RuleMask);
   ASSERT_FALSE(Rows.empty());
+  const std::string Path = fixturePath(Name);
 
   if (const char *Update = std::getenv("LLVMMD_UPDATE_FIXTURES");
       Update && *Update == '1') {
-    std::ofstream OS(fixturePath(), std::ios::trunc);
+    std::ofstream OS(Path, std::ios::trunc);
     for (const std::string &R : Rows)
       OS << R << '\n';
-    ASSERT_TRUE(OS.good()) << "cannot write " << fixturePath();
-    GTEST_SKIP() << "rewrote " << fixturePath();
+    ASSERT_TRUE(OS.good()) << "cannot write " << Path;
+    GTEST_SKIP() << "rewrote " << Path;
   }
 
-  std::ifstream IS(fixturePath());
-  ASSERT_TRUE(IS.good()) << "missing fixture " << fixturePath();
+  std::ifstream IS(Path);
+  ASSERT_TRUE(IS.good()) << "missing fixture " << Path;
   std::vector<std::string> Pinned;
   for (std::string Line; std::getline(IS, Line);)
     Pinned.push_back(Line);
@@ -103,4 +110,14 @@ TEST(SuiteVerdictsTest, MatchesPinnedFixture) {
     ADD_FAILURE() << "verdict " << I << " changed\n  pinned: " << Pinned[I]
                   << "\n  now:    " << Rows[I];
   }
+}
+
+} // namespace
+
+TEST(SuiteVerdictsTest, MatchesPinnedFixture) {
+  checkPinnedFixture(RS_Paper, "suite_verdicts.tsv");
+}
+
+TEST(SuiteVerdictsTest, MatchesPinnedAllRulesFixture) {
+  checkPinnedFixture(RS_All, "suite_verdicts_all_rules.tsv");
 }

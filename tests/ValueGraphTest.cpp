@@ -9,6 +9,7 @@
 #include "ir/Cloning.h"
 #include "ir/Context.h"
 #include "ir/Module.h"
+#include "normalize/Normalizer.h"
 #include "opt/Pass.h"
 #include "vg/GraphBuilder.h"
 #include "workload/Generator.h"
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 
 using namespace llvmmd;
 
@@ -150,6 +152,208 @@ void expectMaximallyShared(ValueGraph &G, SharingStrategy Strategy) {
 const SharingStrategy AllStrategies[] = {SharingStrategy::Simple,
                                          SharingStrategy::Partition,
                                          SharingStrategy::Combined};
+
+//===----------------------------------------------------------------------===//
+// Cone-query oracle: the set-based, whole-graph-scanning definitions that
+// the indexed queries replaced, kept verbatim as references.
+//===----------------------------------------------------------------------===//
+
+bool refConeContainsMu(const ValueGraph &G, NodeId Id) {
+  std::set<NodeId> Seen;
+  std::vector<NodeId> Work{G.find(Id)};
+  while (!Work.empty()) {
+    NodeId N = Work.back();
+    Work.pop_back();
+    if (!Seen.insert(N).second)
+      continue;
+    const Node &Nd = G.node(N);
+    if (Nd.Kind == NodeKind::Mu)
+      return true;
+    for (NodeId Op : Nd.Ops)
+      if (Op != InvalidNode)
+        Work.push_back(G.find(Op));
+  }
+  return false;
+}
+
+/// Scans every root for uses of each derived pointer.
+bool refIsNonEscapingAlloc(const ValueGraph &G, NodeId Alloc) {
+  std::set<NodeId> Derived{G.find(Alloc)};
+  std::vector<NodeId> Work{G.find(Alloc)};
+  auto Derive = [&](NodeId N) {
+    if (Derived.insert(N).second)
+      Work.push_back(N);
+  };
+  while (!Work.empty()) {
+    NodeId Target = Work.back();
+    Work.pop_back();
+    for (NodeId I = 0; I < G.size(); ++I) {
+      if (G.find(I) != I)
+        continue;
+      const Node &N = G.node(I);
+      for (unsigned K = 0, E = N.Ops.size(); K != E; ++K) {
+        if (N.Ops[K] == InvalidNode || G.find(N.Ops[K]) != Target)
+          continue;
+        switch (N.Kind) {
+        case NodeKind::Load:
+          if (K != 0)
+            return false;
+          break;
+        case NodeKind::Store:
+          if (K != 1)
+            return false;
+          break;
+        case NodeKind::AllocMem:
+          break;
+        case NodeKind::Op:
+          if (N.Op == Opcode::GEP && K == 0) {
+            Derive(I);
+            break;
+          }
+          if (N.Op == Opcode::ICmp)
+            break;
+          return false;
+        case NodeKind::Gamma:
+          if (K % 2 == 1)
+            Derive(I);
+          break;
+        case NodeKind::Mu:
+          Derive(I);
+          break;
+        case NodeKind::Eta:
+          if (K == 1)
+            Derive(I);
+          break;
+        default:
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+bool refPossibleBases(const ValueGraph &G, NodeId P, std::set<NodeId> &Out) {
+  std::set<NodeId> Seen;
+  std::vector<NodeId> Work{G.find(P)};
+  while (!Work.empty()) {
+    NodeId N = G.find(Work.back());
+    Work.pop_back();
+    if (!Seen.insert(N).second)
+      continue;
+    if (Seen.size() > 64)
+      return false;
+    const Node &Nd = G.node(N);
+    switch (Nd.Kind) {
+    case NodeKind::Op:
+      if (Nd.Op == Opcode::GEP) {
+        Work.push_back(Nd.Ops[0]);
+        break;
+      }
+      Out.insert(N);
+      break;
+    case NodeKind::Gamma:
+      for (unsigned K = 1; K < Nd.Ops.size(); K += 2)
+        Work.push_back(Nd.Ops[K]);
+      break;
+    case NodeKind::Mu:
+      if (Nd.Ops[0] == InvalidNode)
+        return false;
+      Work.push_back(Nd.Ops[0]);
+      Work.push_back(Nd.Ops[1]);
+      break;
+    case NodeKind::Eta:
+      Work.push_back(Nd.Ops[1]);
+      break;
+    default:
+      Out.insert(N);
+      break;
+    }
+  }
+  return true;
+}
+
+/// aliasPointers over the reference base and escape queries.
+int refAliasPointers(const ValueGraph &G, NodeId P, NodeId Q, unsigned SizeP,
+                     unsigned SizeQ) {
+  P = G.find(P);
+  Q = G.find(Q);
+  if (P == Q)
+    return 2;
+  auto Decompose = [&](NodeId Ptr, int64_t &Off, bool &Known) {
+    NodeId Base = G.find(Ptr);
+    Off = 0;
+    Known = true;
+    while (G.node(Base).Kind == NodeKind::Op &&
+           G.node(Base).Op == Opcode::GEP) {
+      const Node &N = G.node(Base);
+      const Node &NI = G.node(N.Ops[1]);
+      if (NI.Kind == NodeKind::ConstInt)
+        Off += NI.IntVal * N.IntVal;
+      else
+        Known = false;
+      Base = G.find(N.Ops[0]);
+    }
+    return Base;
+  };
+  int64_t OffA, OffB;
+  bool KnownA, KnownB;
+  NodeId BaseA = Decompose(P, OffA, KnownA);
+  NodeId BaseB = Decompose(Q, OffB, KnownB);
+  if (BaseA == BaseB) {
+    if (!KnownA || !KnownB)
+      return 1;
+    if (OffA == OffB)
+      return 2;
+    if (OffA + static_cast<int64_t>(SizeP) <= OffB ||
+        OffB + static_cast<int64_t>(SizeQ) <= OffA)
+      return 0;
+    return 1;
+  }
+  std::set<NodeId> BasesA, BasesB;
+  if (!refPossibleBases(G, BaseA, BasesA) ||
+      !refPossibleBases(G, BaseB, BasesB))
+    return 1;
+  auto Identified = [](const Node &N) {
+    return N.Kind == NodeKind::Alloc || N.Kind == NodeKind::Global;
+  };
+  for (NodeId PA : BasesA)
+    for (NodeId PB : BasesB) {
+      if (PA == PB)
+        return 1;
+      const Node &NA = G.node(PA), &NB = G.node(PB);
+      if (Identified(NA) && Identified(NB))
+        continue;
+      if ((NA.Kind == NodeKind::Alloc && refIsNonEscapingAlloc(G, PA)) ||
+          (NB.Kind == NodeKind::Alloc && refIsNonEscapingAlloc(G, PB)))
+        continue;
+      return 1;
+    }
+  return 0;
+}
+
+/// Asks every root the indexed cone queries and their references; every
+/// ordered pair of pointer-typed roots is asked aliasPointers. Returns the
+/// number of questions asked.
+unsigned expectQueriesMatchReferences(const ValueGraph &G) {
+  unsigned Asked = 0;
+  std::vector<NodeId> Ptrs;
+  for (NodeId R : rootsOf(G)) {
+    EXPECT_EQ(G.coneContainsMu(R), refConeContainsMu(G, R)) << "n" << R;
+    EXPECT_EQ(G.isNonEscapingAlloc(R), refIsNonEscapingAlloc(G, R))
+        << "n" << R;
+    Asked += 2;
+    if (Type *Ty = G.node(R).Ty; Ty && Ty->isPointer())
+      Ptrs.push_back(R);
+  }
+  for (NodeId P : Ptrs)
+    for (NodeId Q : Ptrs) {
+      EXPECT_EQ(G.aliasPointers(P, Q, 4, 8), refAliasPointers(G, P, Q, 4, 8))
+          << "n" << P << " vs n" << Q;
+      ++Asked;
+    }
+  return Asked;
+}
 
 } // namespace
 
@@ -479,4 +683,169 @@ TEST_F(GraphFixture, MuFreeGraphSharesByCongruenceAlone) {
   EXPECT_EQ(countBisimilarPairs(G), 0u);
   for (SharingStrategy Strategy : AllStrategies)
     EXPECT_EQ(G.maximizeSharing(Strategy), 0u);
+}
+
+TEST(QueryOracle, EveryTable1PairAnswersLikeTheReferences) {
+  // Every (original, optimized) pair of the 12 Table-1 profiles, right
+  // after construction and again after normalization with every rule set.
+  Context Ctx;
+  unsigned Pairs = 0, Asked = 0, Allocs = 0, Escaping = 0;
+  for (const BenchmarkProfile &P : getPaperSuite()) {
+    std::unique_ptr<Module> Orig = generateBenchmark(Ctx, P);
+    std::unique_ptr<Module> Opt = cloneModule(*Orig);
+    PassManager PM;
+    ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+    RuleConfig Rules;
+    Rules.Mask = RS_All;
+    Rules.M = Orig.get();
+    for (Function *FO : Opt->definedFunctions()) {
+      if (!PM.run(*FO))
+        continue;
+      const Function &FA = *Orig->getFunction(FO->getName());
+      SCOPED_TRACE(FO->getName());
+      ValueGraph G;
+      BuildResult RA = buildValueGraph(G, FA);
+      BuildResult RB = buildValueGraph(G, *FO);
+      if (!RA.Supported || !RB.Supported)
+        continue;
+      ++Pairs;
+      Asked += expectQueriesMatchReferences(G);
+      normalizeGraph(G, {RA.Ret, RB.Ret}, Rules);
+      Asked += expectQueriesMatchReferences(G);
+      for (NodeId R : rootsOf(G))
+        if (G.node(R).Kind == NodeKind::Alloc) {
+          ++Allocs;
+          Escaping += !G.isNonEscapingAlloc(R);
+        }
+      if (HasFailure())
+        return;
+    }
+  }
+  // Not vacuous: hundreds of pairs, and allocations on both sides of the
+  // escape question.
+  EXPECT_GT(Pairs, 400u);
+  EXPECT_GT(Asked, 100000u);
+  EXPECT_GT(Allocs, Escaping);
+  EXPECT_GT(Escaping, 0u);
+}
+
+namespace {
+
+/// Builders for the hand-made escape cases: an allocation and what a test
+/// hangs off it.
+struct EscapeFixture : GraphFixture {
+  Type *Ptr = Ctx.getPtrTy();
+  Type *I64 = Ctx.getInt64Ty();
+  NodeId Mem = G.getInitialMem();
+  NodeId Alloc = G.getAlloc(G.getConstInt(I64, 1), Mem, 4);
+  NodeId AllocMem = G.getAllocMem(Alloc);
+  NodeId Cond = G.getParam(0, I1);
+
+  NodeId gep(NodeId Base, int64_t Idx) {
+    return G.getOp(Opcode::GEP, Ptr, {Base, G.getConstInt(I64, Idx)}, 0, 4);
+  }
+  /// The answer, checked against the reference first.
+  bool nonEscaping(NodeId N) {
+    bool Indexed = G.isNonEscapingAlloc(N);
+    EXPECT_EQ(Indexed, refIsNonEscapingAlloc(G, N));
+    EXPECT_EQ(G.coneContainsMu(N), refConeContainsMu(G, N));
+    return Indexed;
+  }
+};
+
+} // namespace
+
+TEST_F(EscapeFixture, DerivationChainThroughGepGammaMuEta) {
+  // η(c, μ(γ(c → gep(a, 1), ¬c → null), gep(μ, 2))): every link derives
+  // the allocation. Loads and stores through the end of the chain keep it
+  // private; storing the end of the chain as a value publishes it.
+  NodeId NotC = G.getOp(Opcode::Xor, I1, {Cond, G.getConstBool(I1, true)});
+  NodeId Sel = G.getGamma(Ptr, {{Cond, gep(Alloc, 1)}, {NotC, G.getNull(Ptr)}});
+  NodeId Mu = G.makeMu(Ptr);
+  G.setMuOperands(Mu, Sel, gep(Mu, 2));
+  NodeId Exit = G.getEta(Ptr, Cond, Mu);
+  NodeId V = G.getLoad(I32, Exit, AllocMem);
+  G.getStore(V, gep(Exit, 3), AllocMem);
+  EXPECT_TRUE(nonEscaping(Alloc));
+
+  NodeId Sink = G.getGlobal("sink", false, Ptr);
+  G.getStore(Exit, Sink, AllocMem);
+  EXPECT_FALSE(nonEscaping(Alloc));
+}
+
+TEST_F(EscapeFixture, StoredAsValueEscapes) {
+  NodeId Other = G.getAlloc(G.getConstInt(I64, 1), AllocMem, 8);
+  G.getStore(G.getConstInt(I32, 7), gep(Alloc, 1), AllocMem);
+  EXPECT_TRUE(nonEscaping(Alloc)) << "stored *through*, not stored";
+  G.getStore(gep(Alloc, 1), Other, G.getAllocMem(Other));
+  EXPECT_FALSE(nonEscaping(Alloc));
+}
+
+TEST_F(EscapeFixture, CallArgumentEscapes) {
+  G.getCall("strlen", MemoryEffect::ReadOnly, I64, {gep(Alloc, 0), AllocMem});
+  EXPECT_FALSE(nonEscaping(Alloc));
+}
+
+TEST_F(EscapeFixture, ReturnEscapes) {
+  G.getRet(gep(Alloc, 1), AllocMem);
+  EXPECT_FALSE(nonEscaping(Alloc));
+}
+
+TEST_F(EscapeFixture, AddressComparisonDoesNotEscape) {
+  NodeId Other = G.getAlloc(G.getConstInt(I64, 1), AllocMem, 4);
+  G.getOp(Opcode::ICmp, I1, {gep(Alloc, 1), Other},
+          static_cast<uint8_t>(ICmpPred::EQ));
+  EXPECT_TRUE(nonEscaping(Alloc));
+  EXPECT_TRUE(nonEscaping(Other));
+}
+
+TEST_F(EscapeFixture, AllocationReachingItselfThroughAMu) {
+  // p = μ(a, gep(p, 1)): the derivation walk meets the μ again through its
+  // own iteration value and must stop there.
+  NodeId Mu = G.makeMu(Ptr);
+  G.setMuOperands(Mu, Alloc, gep(Mu, 1));
+  G.getStore(G.getConstInt(I32, 0), Mu, AllocMem);
+  EXPECT_TRUE(nonEscaping(Alloc));
+  EXPECT_TRUE(nonEscaping(Mu));
+  EXPECT_EQ(G.aliasPointers(Mu, G.getParam(1, Ptr), 4, 4),
+            refAliasPointers(G, Mu, G.getParam(1, Ptr), 4, 4));
+  G.getRet(G.getEta(Ptr, Cond, Mu), AllocMem);
+  EXPECT_FALSE(nonEscaping(Alloc));
+}
+
+TEST_F(EscapeFixture, AnswersFollowMergesAndMuPatching) {
+  // The use index is rebuilt after any change to the graph: a merge that
+  // makes a stored value the allocation, and a μ whose operands are set
+  // after a query, both change the answer.
+  NodeId Other = G.getAlloc(G.getConstInt(I64, 2), AllocMem, 4);
+  NodeId Param = G.getParam(1, Ptr);
+  NodeId Derived = gep(Alloc, 1);
+  G.getStore(Param, Other, G.getAllocMem(Other));
+  EXPECT_TRUE(nonEscaping(Alloc));
+  G.mergeInto(Param, Derived);
+  EXPECT_FALSE(nonEscaping(Alloc));
+
+  NodeId Fresh = G.getAlloc(G.getConstInt(I64, 3), Mem, 4);
+  NodeId Mu = G.makeMu(Ptr);
+  G.getRet(G.getEta(Ptr, Cond, Mu), Mem);
+  EXPECT_TRUE(nonEscaping(Fresh));
+  G.setMuOperands(Mu, Fresh, Mu);
+  EXPECT_FALSE(nonEscaping(Fresh));
+}
+
+TEST_F(EscapeFixture, BaseWalkStopsAfterSixtyFourNodes) {
+  // A γ selecting among K distinct globals: the base walk visits the γ and
+  // the K globals. Up to 64 nodes the bases are known and all identified,
+  // so the γ cannot alias another global; one more and the walk gives up.
+  NodeId Target = G.getGlobal("target", false, Ptr);
+  for (unsigned K : {63u, 64u}) {
+    std::vector<std::pair<NodeId, NodeId>> Branches;
+    for (unsigned B = 0; B < K; ++B)
+      Branches.emplace_back(G.getParam(2 + B, I1),
+                            G.getGlobal("g" + std::to_string(B), false, Ptr));
+    NodeId Sel = G.getGamma(Ptr, Branches);
+    int Expected = K == 63 ? 0 : 1;
+    EXPECT_EQ(G.aliasPointers(Sel, Target, 4, 4), Expected) << K;
+    EXPECT_EQ(refAliasPointers(G, Sel, Target, 4, 4), Expected) << K;
+  }
 }
