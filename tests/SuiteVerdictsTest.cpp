@@ -16,6 +16,11 @@
 // extension rules (call-over-store, call-over-loop, load-over-memset) run
 // beside dead-store and dead-allocation removal.
 //
+// tests/fixtures/suite_steps.tsv pins the optimizer itself: under stepwise
+// validation, every function's (pass, changed, fingerprint) after each
+// pipeline pass. An optimizer change that moves one function's output
+// fails here on the row of the pass that caused it.
+//
 // To regenerate the fixtures after an intended verdict change, run the test
 // binary with LLVMMD_UPDATE_FIXTURES=1 and review the diff.
 //
@@ -44,33 +49,44 @@ std::string fixturePath(const char *Name) {
   return std::string(LLVMMD_SOURCE_DIR) + "/tests/fixtures/" + Name;
 }
 
-/// One line per function, in suite then module order:
-/// module/function <TAB> 0|1 <TAB> reason <TAB> fingerprint_opt (hex)
-/// <TAB> rewrites <TAB> sharing_merges <TAB> graph_nodes <TAB> live_nodes
-/// <TAB> iterations <TAB> equal_on_construction (0|1).
-std::vector<std::string> suiteVerdictRows(unsigned RuleMask) {
-  Context Ctx;
+/// The 12 Table-1 modules, run through a 4-thread engine with \p Cfg's
+/// rule mask and granularity.
+SuiteRun runPaperSuite(Context &Ctx, EngineConfig Cfg) {
   std::vector<std::unique_ptr<Module>> Owned;
   std::vector<const Module *> Mods;
   for (const BenchmarkProfile &P : getPaperSuite()) {
     Owned.push_back(generateBenchmark(Ctx, P));
     Mods.push_back(Owned.back().get());
   }
-  EngineConfig Cfg;
   Cfg.Threads = 4;
-  Cfg.Rules.Mask = RuleMask;
   ValidationEngine Engine(Cfg);
-  SuiteRun Run = Engine.runSuite(Mods, getPaperPipeline());
+  return Engine.runSuite(Mods, getPaperPipeline());
+}
+
+std::string hex64(uint64_t V) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
+  return Buf;
+}
+
+/// One line per function, in suite then module order:
+/// module/function <TAB> 0|1 <TAB> reason <TAB> fingerprint_opt (hex)
+/// <TAB> rewrites <TAB> sharing_merges <TAB> graph_nodes <TAB> live_nodes
+/// <TAB> iterations <TAB> equal_on_construction (0|1).
+std::vector<std::string> suiteVerdictRows(unsigned RuleMask) {
+  Context Ctx;
+  EngineConfig Cfg;
+  Cfg.Rules.Mask = RuleMask;
+  SuiteRun Run = runPaperSuite(Ctx, Cfg);
 
   std::vector<std::string> Rows;
   for (const ValidationReport &M : Run.Report.Modules) {
     for (const FunctionReportEntry &F : M.Functions) {
-      char Fp[17];
-      std::snprintf(Fp, sizeof(Fp), "%016" PRIx64, F.FingerprintOpt);
       const ValidationResult &R = F.Result;
       std::ostringstream Row;
       Row << M.ModuleName << '/' << F.Name << '\t' << (F.Validated ? 1 : 0)
-          << '\t' << R.Reason << '\t' << Fp << '\t' << R.Rewrites << '\t'
+          << '\t' << R.Reason << '\t' << hex64(F.FingerprintOpt) << '\t'
+          << R.Rewrites << '\t'
           << R.SharingMerges << '\t' << R.GraphNodes << '\t' << R.LiveNodes
           << '\t' << R.Iterations << '\t' << (R.EqualOnConstruction ? 1 : 0);
       Rows.push_back(Row.str());
@@ -79,10 +95,33 @@ std::vector<std::string> suiteVerdictRows(unsigned RuleMask) {
   return Rows;
 }
 
-/// Compares the suite's rows under \p RuleMask with the fixture \p Name,
-/// or rewrites the fixture when LLVMMD_UPDATE_FIXTURES=1.
-void checkPinnedFixture(unsigned RuleMask, const char *Name) {
-  std::vector<std::string> Rows = suiteVerdictRows(RuleMask);
+/// One line per function of the stepwise suite, in suite then module order:
+/// module/function, then per pipeline pass <TAB> pass:changed:fingerprint
+/// (changed 0|1; the fingerprint after the pass, hex, 0 when unchanged).
+std::vector<std::string> suiteStepRows() {
+  Context Ctx;
+  EngineConfig Cfg;
+  Cfg.Granularity = ValidationGranularity::PerPass;
+  SuiteRun Run = runPaperSuite(Ctx, Cfg);
+
+  std::vector<std::string> Rows;
+  for (const ValidationReport &M : Run.Report.Modules) {
+    for (const FunctionReportEntry &F : M.Functions) {
+      std::ostringstream Row;
+      Row << M.ModuleName << '/' << F.Name;
+      for (const StepReport &S : F.Steps)
+        Row << '\t' << S.Pass << ':' << (S.Changed ? 1 : 0) << ':'
+            << hex64(S.Fingerprint);
+      Rows.push_back(Row.str());
+    }
+  }
+  return Rows;
+}
+
+/// Compares \p Rows with the fixture \p Name, or rewrites the fixture when
+/// LLVMMD_UPDATE_FIXTURES=1.
+void checkPinnedFixture(const std::vector<std::string> &Rows,
+                        const char *Name) {
   ASSERT_FALSE(Rows.empty());
   const std::string Path = fixturePath(Name);
 
@@ -107,7 +146,7 @@ void checkPinnedFixture(unsigned RuleMask, const char *Name) {
     if (Rows[I] == Pinned[I])
       continue;
     ++Diffs;
-    ADD_FAILURE() << "verdict " << I << " changed\n  pinned: " << Pinned[I]
+    ADD_FAILURE() << "row " << I << " changed\n  pinned: " << Pinned[I]
                   << "\n  now:    " << Rows[I];
   }
 }
@@ -115,9 +154,14 @@ void checkPinnedFixture(unsigned RuleMask, const char *Name) {
 } // namespace
 
 TEST(SuiteVerdictsTest, MatchesPinnedFixture) {
-  checkPinnedFixture(RS_Paper, "suite_verdicts.tsv");
+  checkPinnedFixture(suiteVerdictRows(RS_Paper), "suite_verdicts.tsv");
 }
 
 TEST(SuiteVerdictsTest, MatchesPinnedAllRulesFixture) {
-  checkPinnedFixture(RS_All, "suite_verdicts_all_rules.tsv");
+  checkPinnedFixture(suiteVerdictRows(RS_All),
+                     "suite_verdicts_all_rules.tsv");
+}
+
+TEST(SuiteVerdictsTest, MatchesPinnedStepFixture) {
+  checkPinnedFixture(suiteStepRows(), "suite_steps.tsv");
 }
