@@ -9,7 +9,6 @@
 #include "ir/Function.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace llvmmd;
 
@@ -17,7 +16,14 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
   std::vector<BasicBlock *> PostOrder;
   if (F.isDeclaration())
     return PostOrder;
-  std::unordered_set<const BasicBlock *> Visited(2 * F.blocks().size());
+  // Visited marks by block number.
+  std::vector<uint8_t> Visited(F.getMaxBlockNumber(), 0);
+  auto Visit = [&Visited](const BasicBlock *BB) {
+    uint8_t &Seen = Visited[BB->getNumber()];
+    bool First = !Seen;
+    Seen = 1;
+    return First;
+  };
 
   // Iterative DFS computing post-order.
   struct Frame {
@@ -27,13 +33,13 @@ std::vector<BasicBlock *> llvmmd::computeRPO(const Function &F) {
   };
   std::vector<Frame> Stack;
   BasicBlock *Entry = F.getEntryBlock();
-  Visited.insert(Entry);
+  Visit(Entry);
   Stack.push_back({Entry, Entry->successors()});
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
     if (Top.Next < Top.Succs.size()) {
       BasicBlock *Succ = Top.Succs[Top.Next++];
-      if (Visited.insert(Succ).second)
+      if (Visit(Succ))
         Stack.push_back({Succ, Succ->successors()});
       continue;
     }
@@ -48,16 +54,18 @@ std::vector<BasicBlock *> llvmmd::reachableBlocks(const Function &F) {
   std::vector<BasicBlock *> Out;
   if (F.isDeclaration())
     return Out;
-  std::unordered_set<const BasicBlock *> Visited(2 * F.blocks().size());
+  std::vector<uint8_t> Visited(F.getMaxBlockNumber(), 0);
   std::vector<BasicBlock *> Work{F.getEntryBlock()};
-  Visited.insert(F.getEntryBlock());
+  Visited[F.getEntryBlock()->getNumber()] = 1;
   while (!Work.empty()) {
     BasicBlock *BB = Work.back();
     Work.pop_back();
     Out.push_back(BB);
     for (BasicBlock *Succ : BB->successors())
-      if (Visited.insert(Succ).second)
+      if (!Visited[Succ->getNumber()]) {
+        Visited[Succ->getNumber()] = 1;
         Work.push_back(Succ);
+      }
   }
   return Out;
 }

@@ -32,6 +32,7 @@ public:
   size_t size() const { return static_cast<size_t>(E - B); }
   bool empty() const { return B == E; }
   BasicBlock *front() const { return *B; }
+  BasicBlock *operator[](size_t I) const { return B[I]; }
 
 private:
   iterator B = nullptr;

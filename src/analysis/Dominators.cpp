@@ -11,27 +11,45 @@
 
 using namespace llvmmd;
 
-const std::vector<BasicBlock *> DominatorTree::Empty;
+namespace {
 
-DominatorTree::DominatorTree(const Function &F) {
+/// Fills \p Begin (N + 1 offsets) and \p Out so that the items of bucket I
+/// are Out[Begin[I] .. Begin[I + 1]), each bucket in input order. \p Items
+/// are (bucket, item) pairs.
+template <typename T>
+void bucketStable(unsigned N, const std::vector<std::pair<unsigned, T>> &Items,
+                  std::vector<unsigned> &Begin, std::vector<T> &Out) {
+  Begin.assign(N + 1, 0);
+  for (const auto &It : Items)
+    ++Begin[It.first + 1];
+  for (unsigned I = 0; I != N; ++I)
+    Begin[I + 1] += Begin[I];
+  Out.resize(Items.size());
+  std::vector<unsigned> Fill(Begin.begin(), Begin.end() - 1);
+  for (const auto &It : Items)
+    Out[Fill[It.first]++] = It.second;
+}
+
+} // namespace
+
+DominatorTree::DominatorTree(const Function &F) : Fn(&F) {
   RPO = computeRPO(F);
   if (RPO.empty())
     return;
   const unsigned N = static_cast<unsigned>(RPO.size());
-  Index.reserve(N);
+  Index.assign(F.getMaxBlockNumber(), ~0u);
   for (unsigned I = 0; I != N; ++I)
-    Index[RPO[I]] = I;
+    Index[RPO[I]->getNumber()] = I;
 
   // Predecessor index, in one pass over the function's blocks in order, so
   // each list comes out in function block order with `br %c, %x, %x`
   // counted once — what BasicBlock::predecessors() returns. PredIdx holds
   // each predecessor's RPO index (-1 when unreachable) for the fixpoint.
-  struct Edge {
-    unsigned To;
-    int FromIdx;
+  struct PredEdge {
     BasicBlock *From;
+    int FromIdx;
   };
-  std::vector<Edge> Edges;
+  std::vector<std::pair<unsigned, PredEdge>> Edges;
   for (BasicBlock *BB : F.blocks()) {
     SuccessorRange Succs = BB->successors();
     int FromIdx = static_cast<int>(getRPOIndex(BB));
@@ -40,32 +58,24 @@ DominatorTree::DominatorTree(const Function &F) {
         continue;
       unsigned To = getRPOIndex(Succs[K]);
       if (To != ~0u)
-        Edges.push_back({To, FromIdx, BB});
+        Edges.push_back({To, {BB, FromIdx}});
     }
   }
-  PredBegin.assign(N + 1, 0);
-  for (const Edge &E : Edges)
-    ++PredBegin[E.To + 1];
-  for (unsigned I = 0; I != N; ++I)
-    PredBegin[I + 1] += PredBegin[I];
-  Preds.resize(Edges.size());
-  std::vector<int> PredIdx(Edges.size());
-  std::vector<unsigned> Fill(PredBegin.begin(), PredBegin.end() - 1);
-  for (const Edge &E : Edges) {
-    unsigned Slot = Fill[E.To]++;
-    Preds[Slot] = E.From;
-    PredIdx[Slot] = E.FromIdx;
-  }
+  std::vector<PredEdge> PredEdges;
+  bucketStable(N, Edges, PredBegin, PredEdges);
+  Preds.resize(PredEdges.size());
+  for (size_t K = 0; K != PredEdges.size(); ++K)
+    Preds[K] = PredEdges[K].From;
 
   // Cooper-Harvey-Kennedy: iterate to fixpoint over RPO.
-  std::vector<int> IDom(N, -1);
-  IDom[0] = 0;
+  std::vector<int> Dom(N, -1);
+  Dom[0] = 0;
   auto Intersect = [&](int A, int B) {
     while (A != B) {
       while (A > B)
-        A = IDom[A];
+        A = Dom[A];
       while (B > A)
-        B = IDom[B];
+        B = Dom[B];
     }
     return A;
   };
@@ -76,44 +86,50 @@ DominatorTree::DominatorTree(const Function &F) {
     for (unsigned I = 1; I != N; ++I) {
       int NewIDom = -1;
       for (unsigned K = PredBegin[I], E = PredBegin[I + 1]; K != E; ++K) {
-        int P = PredIdx[K];
+        int P = PredEdges[K].FromIdx;
         if (P < 0)
           continue; // unreachable predecessor
-        if (IDom[P] < 0)
+        if (Dom[P] < 0)
           continue; // not yet processed
         NewIDom = NewIDom < 0 ? P : Intersect(NewIDom, P);
       }
-      if (NewIDom >= 0 && IDom[I] != NewIDom) {
-        IDom[I] = NewIDom;
+      if (NewIDom >= 0 && Dom[I] != NewIDom) {
+        Dom[I] = NewIDom;
         Changed = true;
       }
     }
   }
 
-  Nodes.resize(N);
-  for (unsigned I = 1; I != N; ++I) {
-    Nodes[I].IDom = RPO[IDom[I]];
-    Nodes[IDom[I]].Children.push_back(RPO[I]);
-  }
+  IDom.assign(Dom.begin(), Dom.end());
+  std::vector<std::pair<unsigned, unsigned>> Kids;
+  Kids.reserve(N - 1);
+  for (unsigned I = 1; I != N; ++I)
+    Kids.push_back({IDom[I], I});
+  std::vector<unsigned> ChildIdx;
+  bucketStable(N, Kids, ChildBegin, ChildIdx);
+  Children.resize(ChildIdx.size());
+  for (size_t K = 0; K != ChildIdx.size(); ++K)
+    Children[K] = RPO[ChildIdx[K]];
 
   // DFS numbering for O(1) dominance queries.
+  DFSIn.assign(N, 0);
+  DFSOut.assign(N, 0);
   unsigned Clock = 0;
   struct Frame {
     unsigned Idx;
-    size_t Next = 0;
+    unsigned Next;
   };
-  std::vector<Frame> Stack{{0, 0}};
-  Nodes[0].DFSIn = Clock++;
+  std::vector<Frame> Stack{{0, ChildBegin[0]}};
+  DFSIn[0] = Clock++;
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    NodeInfo &Info = Nodes[Top.Idx];
-    if (Top.Next < Info.Children.size()) {
-      unsigned Child = Index.find(Info.Children[Top.Next++])->second;
-      Nodes[Child].DFSIn = Clock++;
-      Stack.push_back({Child, 0});
+    if (Top.Next < ChildBegin[Top.Idx + 1]) {
+      unsigned Child = ChildIdx[Top.Next++];
+      DFSIn[Child] = Clock++;
+      Stack.push_back({Child, ChildBegin[Child]});
       continue;
     }
-    Info.DFSOut = Clock++;
+    DFSOut[Top.Idx] = Clock++;
     Stack.pop_back();
   }
 }
@@ -127,21 +143,22 @@ BlockRange DominatorTree::predecessors(const BasicBlock *BB) const {
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
   unsigned I = getRPOIndex(BB);
-  return I == ~0u ? nullptr : Nodes[I].IDom;
+  return I == ~0u || I == 0 ? nullptr : RPO[IDom[I]];
 }
 
 bool DominatorTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
   unsigned IA = getRPOIndex(A), IB = getRPOIndex(B);
   if (IA == ~0u || IB == ~0u)
     return false;
-  return Nodes[IA].DFSIn <= Nodes[IB].DFSIn &&
-         Nodes[IB].DFSOut <= Nodes[IA].DFSOut;
+  return DFSIn[IA] <= DFSIn[IB] && DFSOut[IB] <= DFSOut[IA];
 }
 
-const std::vector<BasicBlock *> &
-DominatorTree::getChildren(const BasicBlock *BB) const {
+BlockRange DominatorTree::getChildren(const BasicBlock *BB) const {
   unsigned I = getRPOIndex(BB);
-  return I == ~0u ? Empty : Nodes[I].Children;
+  if (I == ~0u)
+    return {};
+  return {Children.data() + ChildBegin[I],
+          Children.data() + ChildBegin[I + 1]};
 }
 
 std::vector<BasicBlock *> DominatorTree::preorder() const {
@@ -153,9 +170,9 @@ std::vector<BasicBlock *> DominatorTree::preorder() const {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
     Out.push_back(BB);
-    const auto &Kids = getChildren(BB);
-    for (auto It = Kids.rbegin(); It != Kids.rend(); ++It)
-      Stack.push_back(*It);
+    BlockRange Kids = getChildren(BB);
+    for (size_t I = Kids.size(); I != 0; --I)
+      Stack.push_back(Kids[I - 1]);
   }
   return Out;
 }

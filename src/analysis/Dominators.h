@@ -16,14 +16,17 @@
 /// loop. Like every other answer of the tree, the index describes the CFG
 /// as it was at construction.
 ///
+/// Per-block state lives in flat vectors: the block number indexes the RPO
+/// position, and the RPO position indexes everything else.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_ANALYSIS_DOMINATORS_H
 #define LLVMMD_ANALYSIS_DOMINATORS_H
 
 #include "analysis/CFG.h"
+#include "ir/BasicBlock.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace llvmmd {
@@ -35,8 +38,10 @@ class DominatorTree {
 public:
   explicit DominatorTree(const Function &F);
 
+  /// True for a block of this tree's function that was reachable when the
+  /// tree was built.
   bool isReachable(const BasicBlock *BB) const {
-    return Index.count(BB) != 0;
+    return getRPOIndex(BB) != ~0u;
   }
 
   /// Predecessors of the reachable block \p BB, exactly as
@@ -53,16 +58,17 @@ public:
     return A != B && dominates(A, B);
   }
 
-  /// Children of \p BB in the dominator tree.
-  const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const;
+  /// Children of \p BB in the dominator tree, in RPO order.
+  BlockRange getChildren(const BasicBlock *BB) const;
 
   /// Reachable blocks in reverse post-order (entry first).
   const std::vector<BasicBlock *> &getRPO() const { return RPO; }
 
-  /// Position of \p BB in getRPO(), or ~0u for an unreachable block.
+  /// Position of \p BB in getRPO(), or ~0u for an unreachable block, a
+  /// block created after the tree, or a block of another function.
   unsigned getRPOIndex(const BasicBlock *BB) const {
-    auto It = Index.find(BB);
-    return It == Index.end() ? ~0u : It->second;
+    unsigned N = BB->getNumber();
+    return BB->getParent() == Fn && N < Index.size() ? Index[N] : ~0u;
   }
 
   /// Blocks in a preorder walk of the dominator tree (entry first); visiting
@@ -70,21 +76,22 @@ public:
   std::vector<BasicBlock *> preorder() const;
 
 private:
-  struct NodeInfo {
-    BasicBlock *IDom = nullptr;
-    std::vector<BasicBlock *> Children;
-    unsigned DFSIn = 0;
-    unsigned DFSOut = 0;
-  };
-
+  const Function *Fn;
   std::vector<BasicBlock *> RPO;
-  std::unordered_map<const BasicBlock *, unsigned> Index; // block -> RPO index
-  std::vector<NodeInfo> Nodes;                             // by RPO index
+  /// Block number -> RPO index (~0u when unreachable).
+  std::vector<unsigned> Index;
+  /// Per RPO index: the immediate dominator's RPO index (entry: 0) and the
+  /// DFS interval of the node in the dominator tree.
+  std::vector<unsigned> IDom;
+  std::vector<unsigned> DFSIn;
+  std::vector<unsigned> DFSOut;
+  /// Children of RPO[I] are Children[ChildBegin[I] .. ChildBegin[I + 1]).
+  std::vector<unsigned> ChildBegin;
+  std::vector<BasicBlock *> Children;
   /// Predecessor lists of the reachable blocks, by RPO index: the
   /// predecessors of RPO[I] are Preds[PredBegin[I] .. PredBegin[I + 1]).
   std::vector<unsigned> PredBegin;
   std::vector<BasicBlock *> Preds;
-  static const std::vector<BasicBlock *> Empty;
 };
 
 } // namespace llvmmd

@@ -13,13 +13,14 @@
 
 using namespace llvmmd;
 
-LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
-  (void)F; // the CFG is reached through the dominator tree's RPO
+LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) : Fn(&F) {
   const std::vector<BasicBlock *> &RPO = DT.getRPO();
+  const unsigned NumBlocks = F.getMaxBlockNumber();
 
-  // Collect back edges; detect irreducibility: a retreating edge (target
-  // earlier in RPO) whose target does not dominate the source.
-  std::map<BasicBlock *, std::vector<BasicBlock *>> BackEdges;
+  // Collect back edges as (header RPO index, latch); detect
+  // irreducibility: a retreating edge (target earlier in RPO) whose target
+  // does not dominate the source.
+  std::vector<std::pair<unsigned, BasicBlock *>> BackEdges;
   for (BasicBlock *BB : RPO) {
     for (BasicBlock *Succ : BB->successors()) {
       unsigned SuccIdx = DT.getRPOIndex(Succ);
@@ -27,7 +28,7 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
         continue;
       if (SuccIdx <= DT.getRPOIndex(BB)) {
         if (DT.dominates(Succ, BB))
-          BackEdges[Succ].push_back(BB);
+          BackEdges.push_back({SuccIdx, BB});
         else
           Irreducible = true;
       }
@@ -35,31 +36,37 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   }
   if (Irreducible)
     return;
+  // Group the latches by header, each group in discovery order.
+  std::stable_sort(BackEdges.begin(), BackEdges.end(),
+                   [](const auto &A, const auto &B) {
+                     return A.first < B.first;
+                   });
 
-  // Build a loop per header, in RPO order of the headers (BackEdges is a
-  // pointer-keyed map; iterating it directly would order loops — and thus
-  // every pass that walks them — by allocation address). Blocks = header +
+  // Build a loop per header, in RPO order of the headers. Blocks = header +
   // backward closure of latches, sorted into RPO afterwards so getBlocks()
   // iteration is deterministic program order.
-  for (BasicBlock *Header : RPO) {
-    auto BEIt = BackEdges.find(Header);
-    if (BEIt == BackEdges.end())
-      continue;
+  std::vector<BasicBlock *> Work;
+  for (size_t E = 0; E != BackEdges.size();) {
+    BasicBlock *Header = RPO[BackEdges[E].first];
     auto L = std::make_unique<Loop>();
+    L->Fn = &F;
     L->Header = Header;
-    L->Latches = BEIt->second;
-    L->BlockSet.insert(Header);
-    std::vector<BasicBlock *> Work(L->Latches.begin(), L->Latches.end());
+    L->Members.assign(NumBlocks, false);
+    for (; E != BackEdges.size() && RPO[BackEdges[E].first] == Header; ++E)
+      L->Latches.push_back(BackEdges[E].second);
+    L->insertMember(Header);
+    L->Blocks.push_back(Header);
+    Work.assign(L->Latches.begin(), L->Latches.end());
     while (!Work.empty()) {
       BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (!L->BlockSet.insert(BB).second)
+      if (!L->insertMember(BB))
         continue;
+      L->Blocks.push_back(BB);
       for (BasicBlock *Pred : DT.predecessors(BB))
         if (DT.isReachable(Pred) && Pred != Header)
           Work.push_back(Pred);
     }
-    L->Blocks.assign(L->BlockSet.begin(), L->BlockSet.end());
     std::sort(L->Blocks.begin(), L->Blocks.end(),
               [&](BasicBlock *A, BasicBlock *B) {
                 return DT.getRPOIndex(A) < DT.getRPOIndex(B);
@@ -70,18 +77,18 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   // Nesting: loop A is inside loop B iff B contains A's header and A != B.
   // Sort by block count so parents (larger) are matched after children;
   // ties break by header RPO index, never by pointer.
-  std::vector<Loop *> BydSize;
+  std::vector<Loop *> BySize;
   for (auto &L : Loops)
-    BydSize.push_back(L.get());
-  std::sort(BydSize.begin(), BydSize.end(), [&](Loop *A, Loop *B) {
+    BySize.push_back(L.get());
+  std::sort(BySize.begin(), BySize.end(), [&](Loop *A, Loop *B) {
     if (A->Blocks.size() != B->Blocks.size())
       return A->Blocks.size() < B->Blocks.size();
     return DT.getRPOIndex(A->Header) < DT.getRPOIndex(B->Header);
   });
-  for (unsigned I = 0, E = BydSize.size(); I != E; ++I) {
-    Loop *Inner = BydSize[I];
+  for (unsigned I = 0, E = BySize.size(); I != E; ++I) {
+    Loop *Inner = BySize[I];
     for (unsigned J = I + 1; J != E; ++J) {
-      Loop *Outer = BydSize[J];
+      Loop *Outer = BySize[J];
       if (Outer->contains(Inner->Header) && Outer != Inner) {
         Inner->Parent = Outer;
         Outer->SubLoops.push_back(Inner);
@@ -94,12 +101,18 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
       TopLevel.push_back(L.get());
 
   // Innermost-loop map: assign smaller loops first, never overwrite.
-  for (Loop *L : BydSize)
+  BlockMap.assign(NumBlocks, nullptr);
+  for (Loop *L : BySize)
     for (BasicBlock *BB : L->Blocks)
-      BlockMap.try_emplace(BB, L);
+      if (!BlockMap[BB->getNumber()])
+        BlockMap[BB->getNumber()] = L;
 
-  // Preheaders, entering blocks, exits.
+  // Preheaders, entering blocks, exits. ExitMark[n] == loop ordinal + 1
+  // marks block n as already listed among that loop's exits.
+  std::vector<unsigned> ExitMark(NumBlocks, 0);
+  unsigned Ordinal = 0;
   for (auto &L : Loops) {
+    ++Ordinal;
     for (BasicBlock *Pred : DT.predecessors(L->Header)) {
       if (!DT.isReachable(Pred) || L->contains(Pred))
         continue;
@@ -111,14 +124,16 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
 
     // Blocks are in RPO, so Exiting and Exits come out in deterministic
     // discovery order (first-seen wins for the deduplicated exit list).
-    std::set<BasicBlock *> ExitSet;
     for (BasicBlock *BB : L->Blocks) {
       bool IsExiting = false;
       for (BasicBlock *Succ : BB->successors()) {
         if (!L->contains(Succ)) {
           IsExiting = true;
-          if (ExitSet.insert(Succ).second)
+          unsigned &Mark = ExitMark[Succ->getNumber()];
+          if (Mark != Ordinal) {
+            Mark = Ordinal;
             L->Exits.push_back(Succ);
+          }
         }
       }
       if (IsExiting)

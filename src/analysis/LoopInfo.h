@@ -17,15 +17,17 @@
 /// or cloned code lands, so pointer-ordered iteration here used to make
 /// optimization results depend on heap-allocation history (the engine's
 /// resubmission divergence) and, with concurrent interning, on scheduling.
+/// Membership and the innermost-loop map are flat vectors indexed by block
+/// number.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_ANALYSIS_LOOPINFO_H
 #define LLVMMD_ANALYSIS_LOOPINFO_H
 
-#include <map>
+#include "ir/BasicBlock.h"
+
 #include <memory>
-#include <set>
 #include <vector>
 
 namespace llvmmd {
@@ -44,7 +46,8 @@ public:
   /// values.
   const std::vector<BasicBlock *> &getBlocks() const { return Blocks; }
   bool contains(const BasicBlock *BB) const {
-    return BlockSet.count(const_cast<BasicBlock *>(BB)) != 0;
+    unsigned N = BB->getNumber();
+    return BB->getParent() == Fn && N < Members.size() && Members[N];
   }
   unsigned getDepth() const {
     unsigned D = 1;
@@ -77,17 +80,29 @@ public:
   /// list stays deterministic.
   void addBlock(BasicBlock *BB) {
     for (Loop *L = this; L; L = L->Parent)
-      if (L->BlockSet.insert(BB).second)
+      if (L->insertMember(BB))
         L->Blocks.push_back(BB);
   }
 
 private:
   friend class LoopInfo;
+  /// Marks \p BB a member; false if it was one already.
+  bool insertMember(const BasicBlock *BB) {
+    unsigned N = BB->getNumber();
+    if (N >= Members.size())
+      Members.resize(N + 1, false);
+    if (Members[N])
+      return false;
+    Members[N] = true;
+    return true;
+  }
+
+  const Function *Fn = nullptr;
   BasicBlock *Header = nullptr;
   Loop *Parent = nullptr;
   std::vector<Loop *> SubLoops;
   std::vector<BasicBlock *> Blocks; ///< RPO order; see getBlocks()
-  std::set<BasicBlock *> BlockSet;  ///< membership mirror of Blocks
+  std::vector<bool> Members;        ///< by block number; mirrors Blocks
   std::vector<BasicBlock *> Latches;
   BasicBlock *Preheader = nullptr;
   std::vector<BasicBlock *> Entering;
@@ -101,8 +116,9 @@ public:
 
   /// Innermost loop containing \p BB, or null.
   Loop *getLoopFor(const BasicBlock *BB) const {
-    auto It = BlockMap.find(const_cast<BasicBlock *>(BB));
-    return It == BlockMap.end() ? nullptr : It->second;
+    unsigned N = BB->getNumber();
+    return BB->getParent() == Fn && N < BlockMap.size() ? BlockMap[N]
+                                                        : nullptr;
   }
 
   bool isLoopHeader(const BasicBlock *BB) const {
@@ -120,9 +136,10 @@ public:
   bool isIrreducible() const { return Irreducible; }
 
 private:
+  const Function *Fn;
   std::vector<std::unique_ptr<Loop>> Loops;
   std::vector<Loop *> TopLevel;
-  std::map<BasicBlock *, Loop *> BlockMap;
+  std::vector<Loop *> BlockMap; ///< block number -> innermost loop
   bool Irreducible = false;
 };
 

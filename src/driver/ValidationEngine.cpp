@@ -452,12 +452,15 @@ void ValidationEngine::optimizeFunction(ModuleRunState &S, size_t Fi,
   uint64_t PrevFp = E.FingerprintOrig;
   const auto &Passes = PM.passes();
   E.Steps.reserve(Passes.size());
+  // As in PassManager::run: one set of CFG analyses serves consecutive
+  // passes until one changes the CFG. Snapshots only read F.
+  FunctionAnalyses FA(*F);
   for (size_t Pi = 0; Pi < Passes.size(); ++Pi) {
     StepReport St;
     St.Pass = Passes[Pi]->getName();
     uint64_t PassStartUs = traceNowUs();
     PhaseTimer PassTimer;
-    St.Changed = Passes[Pi]->run(*F);
+    St.Changed = Passes[Pi]->run(*F, FA);
     if (S.PassTimesUs)
       S.PassTimesUs[Pi].fetch_add(PassTimer.elapsedUs(),
                                   std::memory_order_relaxed);

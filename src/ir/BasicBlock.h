@@ -6,7 +6,9 @@
 ///
 /// \file
 /// A BasicBlock owns an ordered list of instructions terminated by exactly
-/// one terminator. Blocks are owned by their parent Function.
+/// one terminator. Blocks are owned by their parent Function. The list is
+/// intrusive (each instruction links to its neighbours), so insertion and
+/// removal are O(1) and allocate nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +18,7 @@
 #include "ir/Instruction.h"
 
 #include <cassert>
-#include <list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,11 +49,94 @@ private:
   unsigned N = 0;
 };
 
+/// Iterates a block's instructions through their intrusive links. Yields
+/// Instruction pointers, as a container of pointers would; decrementing
+/// end() reaches the last instruction.
+class InstIterator {
+public:
+  using iterator_category = std::bidirectional_iterator_tag;
+  using value_type = Instruction *;
+  using difference_type = std::ptrdiff_t;
+  using pointer = Instruction *const *;
+  using reference = Instruction *const &;
+
+  InstIterator() = default;
+  InstIterator(Instruction *Cur, const BasicBlock *BB) : Cur(Cur), BB(BB) {}
+
+  reference operator*() const { return Cur; }
+  pointer operator->() const { return &Cur; }
+  InstIterator &operator++() {
+    Cur = Cur->getNextNode();
+    return *this;
+  }
+  InstIterator operator++(int) {
+    InstIterator Old = *this;
+    ++*this;
+    return Old;
+  }
+  inline InstIterator &operator--();
+  InstIterator operator--(int) {
+    InstIterator Old = *this;
+    --*this;
+    return Old;
+  }
+  bool operator==(const InstIterator &O) const { return Cur == O.Cur; }
+  bool operator!=(const InstIterator &O) const { return Cur != O.Cur; }
+
+private:
+  Instruction *Cur = nullptr;
+  const BasicBlock *BB = nullptr;
+};
+
+/// The phi nodes at the head of a block, read in place. The iterator steps
+/// to the next instruction before the loop body runs only when written as
+/// `*It++`, so a loop that erases the phi it visits must use that form.
+class PhiRange {
+public:
+  class iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = PhiNode *;
+    using difference_type = std::ptrdiff_t;
+    using pointer = PhiNode *const *;
+    using reference = PhiNode *;
+
+    explicit iterator(Instruction *Cur = nullptr) : Cur(skip(Cur)) {}
+    PhiNode *operator*() const { return static_cast<PhiNode *>(Cur); }
+    iterator &operator++() {
+      Cur = skip(Cur->getNextNode());
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    bool operator==(const iterator &O) const { return Cur == O.Cur; }
+    bool operator!=(const iterator &O) const { return Cur != O.Cur; }
+
+  private:
+    static Instruction *skip(Instruction *I) {
+      return I && I->isPhi() ? I : nullptr;
+    }
+    Instruction *Cur;
+  };
+
+  explicit PhiRange(Instruction *First) : First(First) {}
+  iterator begin() const { return iterator(First); }
+  iterator end() const { return iterator(); }
+  bool empty() const { return begin() == end(); }
+  /// Number of phis: O(phis).
+  size_t size() const { return std::distance(begin(), end()); }
+
+private:
+  Instruction *First;
+};
+
 class BasicBlock {
 public:
-  using InstListType = std::list<Instruction *>;
-  using iterator = InstListType::iterator;
-  using const_iterator = InstListType::const_iterator;
+  using iterator = InstIterator;
+  using const_iterator = InstIterator;
 
   explicit BasicBlock(std::string Name) : Name(std::move(Name)) {}
   BasicBlock(const BasicBlock &) = delete;
@@ -64,36 +149,32 @@ public:
   void setName(std::string N) { Name = std::move(N); }
 
   Function *getParent() const { return Parent; }
-  void setParent(Function *F) { Parent = F; }
 
-  iterator begin() { return Insts.begin(); }
-  iterator end() { return Insts.end(); }
-  const_iterator begin() const { return Insts.begin(); }
-  const_iterator end() const { return Insts.end(); }
-  bool empty() const { return Insts.empty(); }
-  size_t size() const { return Insts.size(); }
+  /// Dense number of this block within its function's body, given when the
+  /// function creates it; below Function::getMaxBlockNumber(). Analyses
+  /// index flat vectors by it. Erased blocks keep theirs (numbers are never
+  /// reused within one body); dropBody restarts the count.
+  unsigned getNumber() const { return Number; }
 
-  Instruction *front() const { return Insts.front(); }
-  Instruction *back() const { return Insts.back(); }
+  iterator begin() const { return iterator(Head, this); }
+  iterator end() const { return iterator(nullptr, this); }
+  bool empty() const { return Head == nullptr; }
+  size_t size() const { return Size; }
+
+  Instruction *front() const { return Head; }
+  Instruction *back() const { return Tail; }
 
   /// Appends \p I, taking ownership.
-  void append(Instruction *I) {
-    I->setParent(this);
-    Insts.push_back(I);
-  }
+  void append(Instruction *I) { insert(end(), I); }
 
   /// Inserts \p I before \p Pos, taking ownership. Returns an iterator to
-  /// the inserted instruction.
-  iterator insert(iterator Pos, Instruction *I) {
-    I->setParent(this);
-    return Insts.insert(Pos, I);
-  }
+  /// the inserted instruction. An instruction without a number receives
+  /// the next one of the parent function's body.
+  iterator insert(iterator Pos, Instruction *I);
 
-  /// Unlinks \p I without deleting it (ownership passes to the caller).
-  void remove(Instruction *I) {
-    Insts.remove(I);
-    I->setParent(nullptr);
-  }
+  /// Unlinks \p I without deleting it (ownership passes to the caller), in
+  /// O(1). It keeps its number.
+  void remove(Instruction *I);
 
   /// Unlinks \p I and releases its operand uses. The instruction must have
   /// no remaining uses. Its storage stays in the function's body arena
@@ -105,9 +186,9 @@ public:
 
   /// The block terminator, or null if the block is not yet terminated.
   Instruction *getTerminator() const {
-    if (Insts.empty() || !Insts.back()->isTerminator())
+    if (!Tail || !Tail->isTerminator())
       return nullptr;
-    return Insts.back();
+    return Tail;
   }
 
   /// Successor blocks via the terminator (empty for ret/unreachable).
@@ -126,30 +207,30 @@ public:
   std::vector<BasicBlock *> predecessors() const;
 
   /// First non-phi instruction position (phis must be grouped at the top).
-  iterator getFirstNonPhi() {
-    auto It = Insts.begin();
-    while (It != Insts.end() && (*It)->isPhi())
-      ++It;
-    return It;
+  iterator getFirstNonPhi() const {
+    Instruction *I = Head;
+    while (I && I->isPhi())
+      I = I->getNextNode();
+    return iterator(I, this);
   }
 
-  /// All phi nodes at the head of the block.
-  std::vector<PhiNode *> phis() const {
-    std::vector<PhiNode *> Out;
-    for (Instruction *I : Insts) {
-      auto *P = dyn_cast<PhiNode>(I);
-      if (!P)
-        break;
-      Out.push_back(P);
-    }
-    return Out;
-  }
+  /// All phi nodes at the head of the block, as a view (no copy).
+  PhiRange phis() const { return PhiRange(Head); }
 
 private:
+  friend class Function; // sets Parent and Number
   std::string Name;
   Function *Parent = nullptr;
-  InstListType Insts;
+  unsigned Number = 0;
+  unsigned Size = 0;
+  Instruction *Head = nullptr;
+  Instruction *Tail = nullptr;
 };
+
+inline InstIterator &InstIterator::operator--() {
+  Cur = Cur ? Cur->getPrevNode() : BB->back();
+  return *this;
+}
 
 } // namespace llvmmd
 

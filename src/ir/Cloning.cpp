@@ -97,10 +97,14 @@ Instruction *copyInstruction(const Instruction *I, Arena &A, MapV V, MapB B) {
   }
 }
 
+} // namespace
+
+namespace llvmmd {
+
 /// Copies instructions block by block into already created destination
 /// blocks, mapping every operand at creation:
-///  - a value in Values (arguments, instructions copied so far) maps to its
-///    copy;
+///  - a value in the map (arguments, instructions copied so far) maps to
+///    its copy;
 ///  - an instruction of a block being cloned that has no copy yet (a
 ///    forward reference: a back-edge phi operand, or a block laid out after
 ///    its user) gets the type's undef as a placeholder, patched the moment
@@ -109,23 +113,35 @@ Instruction *copyInstruction(const Instruction *I, Arena &A, MapV V, MapB B) {
 /// The source is never written. Patching forward users right after their
 /// definition is created gives every copy the use-list order of the
 /// source's text (forward users first, then the rest in order), which
-/// passes that walk users() see.
+/// passes that walk users() see. All state is indexed by the source's
+/// value and block numbers.
 template <typename ExternalFn> class BodyCloner {
 public:
-  BodyCloner(Context &Ctx, Arena &A, ExternalFn External)
-      : Ctx(Ctx), A(A), External(External) {}
+  BodyCloner(const Function &Src, CloneMap &Map, Context &Ctx, Arena &A,
+             ExternalFn External)
+      : Map(Map), Ctx(Ctx), A(A), External(External) {
+    Map.Src = &Src;
+    Map.Values.assign(Src.getMaxValueNumber(), nullptr);
+    Map.Blocks.assign(Src.getMaxBlockNumber(), nullptr);
+    PendingHead.assign(Src.getMaxValueNumber(), NoSlot);
+    PendingTail.assign(Src.getMaxValueNumber(), NoSlot);
+  }
 
-  std::unordered_map<const Value *, Value *> Values;
-  std::unordered_map<const BasicBlock *, BasicBlock *> Blocks;
+  void mapBlock(const BasicBlock *Src, BasicBlock *Dst) {
+    Map.Blocks[Src->getNumber()] = Dst;
+  }
+  void mapValue(const Value *Src, Value *Dst) {
+    Map.Values[Src->getNumber()] = Dst;
+  }
 
   /// Appends copies of \p Src's instructions to \p Dst; a copy is named
   /// like its source plus \p Suffix (unnamed sources stay unnamed).
   void cloneBlock(const BasicBlock *Src, BasicBlock *Dst,
                   const std::string &Suffix) {
-    auto MapV = [this](Value *V) { return mapValue(V); };
+    auto MapV = [this](Value *V) { return remap(V); };
     auto MapB = [this](BasicBlock *BB) {
-      auto It = Blocks.find(BB);
-      return It == Blocks.end() ? BB : It->second;
+      BasicBlock *Copy = Map.lookup(BB);
+      return Copy ? Copy : BB;
     };
     for (const Instruction *I : *Src) {
       Instruction *NI = copyInstruction(I, A, MapV, MapB);
@@ -136,43 +152,89 @@ public:
       for (unsigned K = 0, E = I->getNumOperands(); K != E; ++K)
         if (auto *Op = dyn_cast<Instruction>(I->getOperand(K)))
           if (isa<UndefValue>(NI->getOperand(K)))
-            Pending[Op].push_back({NI, K});
-      Values[I] = NI;
-      if (Pending.empty())
+            addPending(Op->getNumber(), NI, K);
+      const unsigned N = I->getNumber();
+      Map.Values[N] = NI;
+      if (NumPending == 0 || PendingHead[N] == NoSlot)
         continue;
-      auto It = Pending.find(I);
-      if (It == Pending.end())
-        continue;
-      for (auto [User, K] : It->second)
-        User->setOperand(K, NI);
-      Pending.erase(It);
+      for (unsigned S = PendingHead[N]; S != NoSlot; S = Slots[S].Next) {
+        Slots[S].User->setOperand(Slots[S].K, NI);
+        --NumPending;
+      }
+      PendingHead[N] = PendingTail[N] = NoSlot;
     }
   }
 
-  bool allResolved() const { return Pending.empty(); }
+  bool allResolved() const { return NumPending == 0; }
 
 private:
-  Value *mapValue(Value *V) {
-    auto It = Values.find(V);
-    if (It != Values.end())
-      return It->second;
+  static constexpr unsigned NoSlot = ~0u;
+
+  Value *remap(Value *V) {
+    unsigned N = Map.localNumber(V);
+    if (N == Value::NoNumber)
+      return External(V);
+    if (Value *Copy = Map.Values[N])
+      return Copy;
     if (auto *I = dyn_cast<Instruction>(V))
-      if (Blocks.count(I->getParent()))
+      if (Map.lookup(I->getParent()))
         return Ctx.getUndef(V->getType());
     return External(V);
   }
 
+  /// Queues (\p User, \p K) to receive the copy of source value \p N,
+  /// after the slots queued for it before.
+  void addPending(unsigned N, Instruction *User, unsigned K) {
+    unsigned S = static_cast<unsigned>(Slots.size());
+    Slots.push_back({User, K, NoSlot});
+    if (PendingTail[N] == NoSlot)
+      PendingHead[N] = S;
+    else
+      Slots[PendingTail[N]].Next = S;
+    PendingTail[N] = S;
+    ++NumPending;
+  }
+
+  CloneMap &Map;
   Context &Ctx;
   Arena &A;
   ExternalFn External;
-  /// Forward-referenced source instruction -> (copy, operand index) slots
-  /// holding its placeholder, in creation order.
-  std::unordered_map<const Instruction *,
-                     std::vector<std::pair<Instruction *, unsigned>>>
-      Pending;
+  /// Forward-referenced source instruction (by number) -> the (copy,
+  /// operand index) slots holding its placeholder, as a list threaded
+  /// through Slots in creation order.
+  struct Slot {
+    Instruction *User;
+    unsigned K;
+    unsigned Next;
+  };
+  std::vector<Slot> Slots;
+  std::vector<unsigned> PendingHead, PendingTail;
+  size_t NumPending = 0;
 };
 
-} // namespace
+} // namespace llvmmd
+
+unsigned CloneMap::localNumber(const Value *V) const {
+  unsigned N = V->getNumber();
+  if (N == Value::NoNumber || !Src)
+    return Value::NoNumber;
+  if (const auto *Arg = dyn_cast<Argument>(V))
+    return N < Src->getNumArgs() && Src->getArg(N) == Arg ? N
+                                                           : Value::NoNumber;
+  const BasicBlock *BB = cast<Instruction>(V)->getParent();
+  return BB && BB->getParent() == Src && N < Values.size() ? N
+                                                           : Value::NoNumber;
+}
+
+Value *CloneMap::lookup(const Value *V) const {
+  unsigned N = localNumber(V);
+  return N == Value::NoNumber ? nullptr : Values[N];
+}
+
+BasicBlock *CloneMap::lookup(const BasicBlock *BB) const {
+  unsigned N = BB->getNumber();
+  return BB->getParent() == Src && N < Blocks.size() ? Blocks[N] : nullptr;
+}
 
 Instruction *llvmmd::cloneInstruction(const Instruction *I, Arena &A) {
   return copyInstruction(
@@ -182,46 +244,41 @@ Instruction *llvmmd::cloneInstruction(const Instruction *I, Arena &A) {
 void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst,
                                const ModuleCloneMap *Shell) {
   assert(Dst.getNumBlocks() == 0 && "destination already has a body");
-  BodyCloner C(Dst.getParent()->getContext(), Dst.bodyArena(),
-              [Shell](Value *V) -> Value * {
-                if (Shell) {
-                  auto It = Shell->find(V);
-                  if (It != Shell->end())
-                    return It->second;
-                }
-                return V;
-              });
-  C.Values.reserve(Src.getNumArgs() + Src.getInstructionCount());
+  CloneMap Map;
+  BodyCloner C(Src, Map, Dst.getParent()->getContext(), Dst.bodyArena(),
+               [Shell](Value *V) -> Value * {
+                 if (Shell) {
+                   auto It = Shell->find(V);
+                   if (It != Shell->end())
+                     return It->second;
+                 }
+                 return V;
+               });
   for (unsigned I = 0, E = Src.getNumArgs(); I != E; ++I) {
-    C.Values[Src.getArg(I)] = Dst.getArg(I);
+    C.mapValue(Src.getArg(I), Dst.getArg(I));
     Dst.getArg(I)->setName(Src.getArg(I)->getName());
   }
-  C.Blocks.reserve(Src.getNumBlocks());
   for (const BasicBlock *BB : Src.blocks())
-    C.Blocks[BB] = Dst.createBlock(BB->getName());
+    C.mapBlock(BB, Dst.createBlock(BB->getName()));
   for (const BasicBlock *BB : Src.blocks())
-    C.cloneBlock(BB, C.Blocks[BB], "");
+    C.cloneBlock(BB, Map.lookup(BB), "");
   assert(C.allResolved() && "reference to a value defined nowhere");
 }
 
-std::vector<BasicBlock *>
-llvmmd::cloneBlocks(Function &F, const std::vector<BasicBlock *> &Blocks,
-                    std::map<const Value *, Value *> &VMap,
-                    std::map<const BasicBlock *, BasicBlock *> &BMap,
-                    const std::string &Suffix) {
-  BodyCloner C(F.getParent()->getContext(), F.bodyArena(),
-              [](Value *V) { return V; });
+std::vector<BasicBlock *> llvmmd::cloneBlocks(
+    Function &F, const std::vector<BasicBlock *> &Blocks, CloneMap &Map,
+    const std::string &Suffix) {
+  BodyCloner C(F, Map, F.getParent()->getContext(), F.bodyArena(),
+               [](Value *V) { return V; });
   std::vector<BasicBlock *> NewBlocks;
   for (BasicBlock *BB : Blocks) {
     BasicBlock *NewBB = F.createBlock(BB->getName() + Suffix);
-    C.Blocks[BB] = NewBB;
-    BMap[BB] = NewBB;
+    C.mapBlock(BB, NewBB);
     NewBlocks.push_back(NewBB);
   }
   for (size_t I = 0; I < Blocks.size(); ++I)
     C.cloneBlock(Blocks[I], NewBlocks[I], Suffix);
   assert(C.allResolved() && "reference to a value defined nowhere");
-  VMap.insert(C.Values.begin(), C.Values.end());
   return NewBlocks;
 }
 

@@ -20,7 +20,6 @@
 #ifndef LLVMMD_IR_CLONING_H
 #define LLVMMD_IR_CLONING_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -63,15 +62,34 @@ void cloneFunctionBody(const Function &Src, Function &Dst,
 /// runLLVMMD, triage's scratch extraction).
 void remapModuleReferences(Function &F, Module &DstModule);
 
+/// Old-to-new map of one body or block clone: the source function's
+/// arguments, instructions and blocks, looked up by their numbers.
+class CloneMap {
+public:
+  /// The copy of \p V (an argument or instruction of the source), or null
+  /// when \p V was not cloned.
+  Value *lookup(const Value *V) const;
+  /// The copy of \p BB, or null when \p BB was not cloned.
+  BasicBlock *lookup(const BasicBlock *BB) const;
+
+private:
+  template <typename ExternalFn> friend class BodyCloner;
+  /// \p V's number if it is an argument or a linked instruction of Src.
+  unsigned localNumber(const Value *V) const;
+
+  const Function *Src = nullptr;
+  std::vector<Value *> Values;      ///< by source value number
+  std::vector<BasicBlock *> Blocks; ///< by source block number
+};
+
 /// Clones \p Blocks (all in \p F) appending " \p Suffix"-named copies to
 /// \p F. Operands, phi incoming blocks and branch targets referring to
 /// cloned values/blocks are remapped; external references are left as is
 /// (the caller fixes up phi entries from predecessors outside the set).
-std::vector<BasicBlock *>
-cloneBlocks(Function &F, const std::vector<BasicBlock *> &Blocks,
-            std::map<const Value *, Value *> &VMap,
-            std::map<const BasicBlock *, BasicBlock *> &BMap,
-            const std::string &Suffix);
+/// \p Map receives every cloned block and instruction.
+std::vector<BasicBlock *> cloneBlocks(Function &F,
+                                      const std::vector<BasicBlock *> &Blocks,
+                                      CloneMap &Map, const std::string &Suffix);
 
 /// Clones one instruction into \p A (normally the destination function's
 /// body arena) with identical operands (not remapped) and no parent. Phi

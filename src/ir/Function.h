@@ -18,6 +18,11 @@
 /// function body at a time (the engine's per-function task model), so the
 /// body arena needs no lock.
 ///
+/// Numbering: arguments, body instructions and blocks carry dense numbers
+/// (Value::getNumber, BasicBlock::getNumber) that live as long as the body
+/// does; dropBody restarts instruction and block numbers, so a re-cloned
+/// body is numbered from scratch, exactly like its first clone.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LLVMMD_IR_FUNCTION_H
@@ -58,8 +63,10 @@ public:
     for (unsigned I = 0, E = FTy->getNumParams(); I != E; ++I) {
       auto *A = ObjArena.create<Argument>(FTy->getParamType(I), I);
       A->setName("arg" + std::to_string(I));
+      A->Number = I;
       Args.push_back(A);
     }
+    NextValueNumber = FTy->getNumParams();
   }
   ~Function() override { dropBody(); }
 
@@ -98,9 +105,26 @@ public:
   /// Appends a new block with the given name and returns it.
   BasicBlock *createBlock(std::string Name) {
     auto *BB = BodyArena.create<BasicBlock>(std::move(Name));
-    BB->setParent(this);
+    BB->Parent = this;
+    BB->Number = NextBlockNumber++;
     Blocks.push_back(BB);
     return BB;
+  }
+
+  /// Upper bound (exclusive) of the numbers of this body's blocks; see
+  /// BasicBlock::getNumber().
+  unsigned getMaxBlockNumber() const { return NextBlockNumber; }
+
+  /// Upper bound (exclusive) of the numbers of this function's arguments
+  /// and body instructions; see Value::getNumber().
+  unsigned getMaxValueNumber() const { return NextValueNumber; }
+
+  /// Gives \p I the next value number unless it has one already (an
+  /// instruction moved within the body keeps its number). Called by
+  /// BasicBlock::insert.
+  void numberInstruction(Instruction *I) {
+    if (I->Number == NoNumber)
+      I->Number = NextValueNumber++;
   }
 
   /// Unlinks \p BB and releases its instructions' operand uses. The block's
@@ -160,6 +184,8 @@ public:
       }
     Blocks.clear();
     BodyArena.reset();
+    NextBlockNumber = 0;
+    NextValueNumber = getNumArgs();
   }
 
   static bool classof(const Value *V) {
@@ -172,6 +198,8 @@ private:
   std::vector<Argument *> Args;
   Arena BodyArena{4096};
   BlockListType Blocks;
+  unsigned NextBlockNumber = 0;
+  unsigned NextValueNumber = 0;
   MemoryEffect Effect = MemoryEffect::ReadWrite;
 };
 

@@ -217,6 +217,30 @@ CallInst::CallInst(Function *Callee, std::vector<Value *> Args, Type *RetTy)
     addOperand(A);
 }
 
+BasicBlock::iterator BasicBlock::insert(iterator Pos, Instruction *I) {
+  assert(!I->Parent && !I->Prev && !I->Next && "instruction already linked");
+  Instruction *Before = *Pos; // null at end()
+  Instruction *After = Before ? Before->Prev : Tail;
+  I->Parent = this;
+  I->Prev = After;
+  I->Next = Before;
+  (After ? After->Next : Head) = I;
+  (Before ? Before->Prev : Tail) = I;
+  ++Size;
+  if (Parent)
+    Parent->numberInstruction(I);
+  return iterator(I, this);
+}
+
+void BasicBlock::remove(Instruction *I) {
+  assert(I->Parent == this && "instruction not in this block");
+  (I->Prev ? I->Prev->Next : Head) = I->Next;
+  (I->Next ? I->Next->Prev : Tail) = I->Prev;
+  I->Prev = I->Next = nullptr;
+  I->Parent = nullptr;
+  --Size;
+}
+
 std::vector<BasicBlock *> BasicBlock::predecessors() const {
   std::vector<BasicBlock *> Out;
   if (!Parent)

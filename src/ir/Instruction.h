@@ -117,8 +117,12 @@ public:
   const char *getOpcodeName() const { return llvmmd::getOpcodeName(Op); }
 
   BasicBlock *getParent() const { return Parent; }
-  void setParent(BasicBlock *BB) { Parent = BB; }
   Function *getFunction() const;
+
+  /// The neighbours in the parent block's list; null at either end and for
+  /// an instruction in no block.
+  Instruction *getPrevNode() const { return Prev; }
+  Instruction *getNextNode() const { return Next; }
 
   bool isTerminator() const { return isTerminatorOp(Op); }
   bool isBinaryOp() const { return llvmmd::isBinaryOp(Op); }
@@ -143,8 +147,11 @@ protected:
       : User(ValueKind::Instruction, Ty), Op(Op) {}
 
 private:
+  friend class BasicBlock; // links and unlinks instructions
   Opcode Op;
   BasicBlock *Parent = nullptr;
+  Instruction *Prev = nullptr;
+  Instruction *Next = nullptr;
 };
 
 /// Integer or float binary operator.

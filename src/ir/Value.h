@@ -53,6 +53,19 @@ public:
   void setName(std::string N) { Name = std::move(N); }
   bool hasName() const { return !Name.empty(); }
 
+  static constexpr unsigned NoNumber = ~0u;
+
+  /// Dense number of a function-local value within its function's body:
+  /// arguments are 0 .. NumArgs-1 for the function's lifetime; an
+  /// instruction gets the next free number when it first joins a block of
+  /// the body and keeps it until dropBody. Below
+  /// Function::getMaxValueNumber(), never reused within one body, so
+  /// passes index flat vectors by it. NoNumber for constants, globals,
+  /// functions and instructions not yet inserted. Two functions' numbers
+  /// overlap: a caller holding a value of unknown origin checks its
+  /// function first.
+  unsigned getNumber() const { return Number; }
+
   /// Use lists are maintained only for function-local values (arguments and
   /// instructions), which exactly one thread mutates at a time. Constants,
   /// globals and functions are shared across modules — and, with the
@@ -94,6 +107,7 @@ private:
   }
 
   ValueKind Kind;
+  unsigned Number = NoNumber;
   Type *Ty;
   std::string Name;
   std::vector<User *> Users;

@@ -15,7 +15,6 @@
 
 #include "ir/Module.h"
 
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -26,15 +25,19 @@ class ADCEPass : public FunctionPass {
 public:
   const char *getName() const override { return "adce"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &) override {
     if (F.isDeclaration())
       return false;
 
-    std::set<Instruction *> Live;
-    std::vector<Instruction *> Worklist;
+    // Live marks by value number; the pass keeps its buffers across runs.
+    Live.assign(F.getMaxValueNumber(), 0);
+    Worklist.clear();
     auto MarkLive = [&](Instruction *I) {
-      if (Live.insert(I).second)
+      uint8_t &Mark = Live[I->getNumber()];
+      if (!Mark) {
+        Mark = 1;
         Worklist.push_back(I);
+      }
     };
 
     // Roots: terminators, stores, calls that may write memory.
@@ -52,23 +55,29 @@ public:
     }
 
     // Delete everything not live. Break references first so mutually-dead
-    // cycles (phis through back edges) can be removed.
-    std::vector<std::pair<BasicBlock *, Instruction *>> Dead;
+    // cycles (phis through back edges) can be removed. Only instructions
+    // go, never a terminator, so the CFG analyses stay valid.
+    Dead.clear();
     for (const auto &BB : F.blocks())
       for (Instruction *I : *BB)
-        if (!Live.count(I))
-          Dead.push_back({BB, I});
+        if (!Live[I->getNumber()])
+          Dead.push_back(I);
     if (Dead.empty())
       return false;
-    for (auto &[BB, I] : Dead)
+    for (Instruction *I : Dead)
       I->dropAllReferences();
-    for (auto &[BB, I] : Dead) {
+    for (Instruction *I : Dead) {
       assert(I->use_empty() && "dead instruction still used by live code");
       // Unlink only: the body arena reclaims the storage at dropBody.
-      BB->remove(I);
+      I->getParent()->remove(I);
     }
     return true;
   }
+
+private:
+  std::vector<uint8_t> Live;
+  std::vector<Instruction *> Worklist;
+  std::vector<Instruction *> Dead;
 };
 
 } // namespace

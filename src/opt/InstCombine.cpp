@@ -30,7 +30,7 @@ class InstCombinePass : public FunctionPass {
 public:
   const char *getName() const override { return "instcombine"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &) override {
     if (F.isDeclaration())
       return false;
     Context &Ctx = F.getParent()->getContext();
@@ -48,7 +48,7 @@ public:
             continue;
           }
           if (Instruction *New = combine(I, Ctx)) {
-            BB->insert(findPos(BB, I), New);
+            BB->insert(BasicBlock::iterator(I, BB), New);
             New->setName(I->getName());
             I->replaceAllUsesWith(New);
             BB->erase(I);
@@ -65,13 +65,6 @@ public:
   }
 
 private:
-  BasicBlock::iterator findPos(BasicBlock *BB, Instruction *I) {
-    for (auto It = BB->begin(), E = BB->end(); It != E; ++It)
-      if (*It == I)
-        return It;
-    return BB->end();
-  }
-
   /// Rewrites that build a replacement instruction.
   Instruction *combine(Instruction *I, Context &Ctx) {
     if (!I->isBinaryOp())

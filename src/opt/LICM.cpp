@@ -18,12 +18,10 @@
 #include "opt/Pass.h"
 
 #include "analysis/AliasAnalysis.h"
-#include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 #include "opt/LoopUtils.h"
 
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -34,28 +32,36 @@ class LICMPass : public FunctionPass {
 public:
   const char *getName() const override { return "licm"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
-    DominatorTree DT(F);
-    LoopInfo LI(F, DT);
+    LoopInfo &LI = FA.getLoopInfo();
     if (LI.isIrreducible())
       return false;
     AliasAnalysis AA(F);
     bool Changed = false;
+    CreatedPreheader = false;
     for (Loop *L : LI.getLoopsInnermostFirst())
       Changed |= processLoop(F, *L, AA);
+    // A new preheader is a new block (and LoopInfo was patched for it):
+    // the CFG analyses describe an older function now. The pass reports a
+    // change only when it hoisted something, as it always has.
+    if (CreatedPreheader)
+      FA.invalidateCFG();
     return Changed;
   }
 
 private:
   bool processLoop(Function &F, Loop &L, const AliasAnalysis &AA) {
+    bool HadPreheader = L.getPreheader() != nullptr;
     BasicBlock *Preheader = ensurePreheader(F, L);
     if (!Preheader)
       return false;
+    CreatedPreheader |= !HadPreheader;
 
     // Collect the loop's memory writers once.
-    std::vector<const StoreInst *> Stores;
+    std::vector<const StoreInst *> &Stores = LoopStores;
+    Stores.clear();
     bool HasWriterCall = false;
     for (BasicBlock *BB : L.getBlocks()) {
       for (const Instruction *I : *BB) {
@@ -67,12 +73,15 @@ private:
       }
     }
 
-    std::set<const Instruction *> Hoisted;
+    // Hoisted marks by value number; every instruction a loop block holds
+    // now is numbered below the bound.
+    std::vector<uint8_t> &Hoisted = HoistedMarks;
+    Hoisted.assign(F.getMaxValueNumber(), 0);
     auto IsInvariantOperand = [&](const Value *V) {
       if (isDefinedOutsideLoop(V, L))
         return true;
       const auto *I = dyn_cast<Instruction>(V);
-      return I && Hoisted.count(I) != 0;
+      return I && Hoisted[I->getNumber()];
     };
 
     bool Changed = false;
@@ -80,9 +89,9 @@ private:
     while (Progress) {
       Progress = false;
       for (BasicBlock *BB : L.getBlocks()) {
-        std::vector<Instruction *> Insts(BB->begin(), BB->end());
-        for (Instruction *I : Insts) {
-          if (Hoisted.count(I))
+        for (Instruction *I = BB->front(), *Next; I; I = Next) {
+          Next = I->getNextNode();
+          if (Hoisted[I->getNumber()])
             continue;
           if (!canHoist(I, L, AA, Stores, HasWriterCall))
             continue;
@@ -99,7 +108,7 @@ private:
           auto Pos = Preheader->end();
           --Pos; // before the branch
           Preheader->insert(Pos, I);
-          Hoisted.insert(I);
+          Hoisted[I->getNumber()] = 1;
           Progress = true;
           Changed = true;
         }
@@ -171,6 +180,10 @@ private:
       return true; // pure arithmetic, comparisons, casts, selects, GEPs
     }
   }
+
+  bool CreatedPreheader = false;
+  std::vector<const StoreInst *> LoopStores;
+  std::vector<uint8_t> HoistedMarks;
 };
 
 } // namespace

@@ -10,7 +10,7 @@
 #include "ir/Folding.h"
 #include "ir/Module.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace llvmmd;
 
@@ -206,21 +206,33 @@ bool llvmmd::isTriviallyDead(const Instruction *I) {
 }
 
 unsigned llvmmd::removeDeadInstructions(Function &F) {
+  // One scan seeds the worklist; erasing an instruction can only make its
+  // operands dead. The erased set (and so the function) does not depend on
+  // the erasure order: being dead is never undone by another erasure.
+  std::vector<Instruction *> Work;
+  for (const auto &BB : F.blocks())
+    for (Instruction *I : *BB)
+      if (isTriviallyDead(I))
+        Work.push_back(I);
   unsigned Removed = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const auto &BB : F.blocks()) {
-      std::vector<Instruction *> Dead;
-      for (Instruction *I : *BB)
-        if (isTriviallyDead(I))
-          Dead.push_back(I);
-      for (Instruction *I : Dead) {
-        BB->erase(I);
-        ++Removed;
-        Changed = true;
-      }
-    }
+  while (!Work.empty()) {
+    Instruction *I = Work.back();
+    Work.pop_back();
+    if (!I->getParent())
+      continue; // queued twice, erased already
+    size_t Mark = Work.size();
+    for (Value *Op : I->operands())
+      if (auto *OpI = dyn_cast<Instruction>(Op))
+        Work.push_back(OpI);
+    I->getParent()->erase(I);
+    ++Removed;
+    // Keep only the operands this erasure made dead.
+    Work.erase(std::remove_if(Work.begin() + Mark, Work.end(),
+                              [](Instruction *Op) {
+                                return !Op->getParent() ||
+                                       !isTriviallyDead(Op);
+                              }),
+               Work.end());
   }
   return Removed;
 }
@@ -236,12 +248,12 @@ void llvmmd::removePhiEntriesFor(BasicBlock *BB, BasicBlock *Pred) {
 unsigned llvmmd::removeUnreachableBlocks(Function &F) {
   if (F.isDeclaration())
     return 0;
-  std::set<BasicBlock *> Reachable;
+  std::vector<uint8_t> Reachable(F.getMaxBlockNumber(), 0);
   for (BasicBlock *BB : reachableBlocks(F))
-    Reachable.insert(BB);
+    Reachable[BB->getNumber()] = 1;
   std::vector<BasicBlock *> Dead;
   for (const auto &BB : F.blocks())
-    if (!Reachable.count(BB))
+    if (!Reachable[BB->getNumber()])
       Dead.push_back(BB);
   if (Dead.empty())
     return 0;
@@ -249,7 +261,7 @@ unsigned llvmmd::removeUnreachableBlocks(Function &F) {
   // Remove phi entries in reachable blocks that came from dead blocks.
   for (BasicBlock *BB : Dead)
     for (BasicBlock *Succ : BB->successors())
-      if (Reachable.count(Succ))
+      if (Reachable[Succ->getNumber()])
         removePhiEntriesFor(Succ, BB);
 
   // Break references out of dead blocks, then delete them.
@@ -272,8 +284,9 @@ unsigned llvmmd::removeUnreachableBlocks(Function &F) {
 unsigned llvmmd::foldSingleEntryPhis(Function &F) {
   unsigned N = 0;
   for (const auto &BB : F.blocks()) {
-    std::vector<PhiNode *> Phis = BB->phis();
-    for (PhiNode *P : Phis) {
+    PhiRange Phis = BB->phis();
+    for (auto It = Phis.begin(); It != Phis.end();) {
+      PhiNode *P = *It++;
       if (P->getNumIncoming() != 1)
         continue;
       P->replaceAllUsesWith(P->getIncomingValue(0));

@@ -16,13 +16,10 @@
 
 #include "opt/Pass.h"
 
-#include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 #include "opt/Local.h"
 #include "opt/LoopUtils.h"
-
-#include <set>
 
 using namespace llvmmd;
 
@@ -32,24 +29,24 @@ class LoopDeletionPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-deletion"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
     // Deleting a loop invalidates the analyses; recompute and retry until
-    // nothing more can be deleted.
+    // nothing more can be deleted. A failed tryDelete changes nothing.
     bool Progress = true;
     while (Progress) {
       Progress = false;
-      DominatorTree DT(F);
-      LoopInfo LI(F, DT);
+      LoopInfo &LI = FA.getLoopInfo();
       if (LI.isIrreducible())
         return Changed;
       for (Loop *L : LI.getLoopsInnermostFirst()) {
         if (tryDelete(F, *L)) {
+          FA.invalidateCFG(); // analyses are stale now
           Changed = true;
           Progress = true;
-          break; // analyses are stale now
+          break;
         }
       }
     }
@@ -57,6 +54,8 @@ public:
   }
 
 private:
+  /// Deletes \p L if it computes nothing observable. Returns false, with
+  /// \p F untouched, when it does not.
   bool tryDelete(Function &F, Loop &L) {
     if (!L.getSubLoops().empty())
       return false; // delete innermost first; parents become eligible later

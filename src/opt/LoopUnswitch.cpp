@@ -22,8 +22,6 @@
 #include "opt/Local.h"
 #include "opt/LoopUtils.h"
 
-#include <map>
-#include <set>
 
 using namespace llvmmd;
 
@@ -33,23 +31,26 @@ class LoopUnswitchPass : public FunctionPass {
 public:
   const char *getName() const override { return "loop-unswitch"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
     // Unswitch at most a few times per function to bound code growth
-    // (LLVM uses a size threshold; we use a count).
+    // (LLVM uses a size threshold; we use a count). A tryUnswitch that
+    // fails leaves the CFG as it was (it may add exit φs, which no CFG
+    // analysis reads), so one tree and loop nest serve a whole round.
     for (unsigned Round = 0; Round < 2; ++Round) {
-      DominatorTree DT(F);
-      LoopInfo LI(F, DT);
+      LoopInfo &LI = FA.getLoopInfo();
       if (LI.isIrreducible())
         return Changed;
+      const DominatorTree &DT = FA.getDomTree();
       bool Did = false;
       for (Loop *L : LI.getLoopsInnermostFirst()) {
-        if (tryUnswitch(F, *L)) {
+        if (tryUnswitch(F, *L, DT)) {
+          FA.invalidateCFG(); // analyses stale
           Changed = true;
           Did = true;
-          break; // analyses stale
+          break;
         }
       }
       if (!Did)
@@ -79,7 +80,7 @@ private:
   /// Rewrites uses of loop-defined values outside \p L to go through φs in
   /// the unique exit block. Returns false when the loop has several exit
   /// blocks or a value does not dominate the exit (we stay conservative).
-  bool promoteExitUsesToPhis(Function &F, Loop &L) {
+  bool promoteExitUsesToPhis(Loop &L, const DominatorTree &DT) {
     if (L.getExitBlocks().size() != 1)
       return false;
     BasicBlock *Exit = L.getExitBlocks().front();
@@ -89,9 +90,8 @@ private:
     if (L.getExitingBlocks().size() != 1)
       return false;
     BasicBlock *Exiting = L.getExitingBlocks().front();
-    if (Exit->predecessors().size() != 1)
+    if (DT.predecessors(Exit).size() != 1)
       return false; // a φ here would need entries for unrelated edges
-    DominatorTree DT(F);
 
     for (BasicBlock *BB : L.getBlocks()) {
       for (Instruction *I : *BB) {
@@ -121,7 +121,7 @@ private:
     return true;
   }
 
-  bool tryUnswitch(Function &F, Loop &L) {
+  bool tryUnswitch(Function &F, Loop &L, const DominatorTree &DT) {
     // Bound duplication cost.
     size_t LoopSize = 0;
     for (BasicBlock *BB : L.getBlocks())
@@ -135,7 +135,7 @@ private:
     if (!loopValuesEscapeOnlyViaExitPhis(L)) {
       // Try to reroute direct outside uses through exit-block φs (a
       // single-exit mini-LCSSA), which makes the duplication patchable.
-      if (!promoteExitUsesToPhis(F, L))
+      if (!promoteExitUsesToPhis(L, DT))
         return false;
     }
     BasicBlock *Preheader = ensurePreheader(F, L);
@@ -144,9 +144,8 @@ private:
 
     // Clone the loop body.
     std::vector<BasicBlock *> Body(L.getBlocks().begin(), L.getBlocks().end());
-    std::map<const Value *, Value *> VMap;
-    std::map<const BasicBlock *, BasicBlock *> BMap;
-    cloneBlocks(F, Body, VMap, BMap, ".us");
+    CloneMap VMap;
+    cloneBlocks(F, Body, VMap, ".us");
 
     // Patch exit-block phis: each loop entry gains a twin from the clone.
     for (BasicBlock *Exit : L.getExitBlocks()) {
@@ -157,16 +156,15 @@ private:
           if (!L.contains(In))
             continue;
           Value *V = P->getIncomingValue(K);
-          auto VIt = VMap.find(V);
-          Value *ClonedV = VIt == VMap.end() ? V : VIt->second;
-          P->addIncoming(ClonedV, BMap.at(In));
+          Value *ClonedV = VMap.lookup(V);
+          P->addIncoming(ClonedV ? ClonedV : V, VMap.lookup(In));
         }
       }
     }
 
     // Original keeps the true side; the clone keeps the false side.
     Value *Cond = Br->getCondition();
-    auto *ClonedBr = cast<BranchInst>(VMap.at(Br));
+    auto *ClonedBr = cast<BranchInst>(VMap.lookup(Br));
     BasicBlock *TrueBB = Br->getSuccessor(0);
     BasicBlock *FalseBB = Br->getSuccessor(1);
     removePhiEntriesFor(FalseBB, Br->getParent());
@@ -177,7 +175,7 @@ private:
 
     // The preheader now dispatches on the invariant condition.
     BasicBlock *Header = L.getHeader();
-    auto *ClonedHeader = BMap.at(Header);
+    auto *ClonedHeader = VMap.lookup(Header);
     auto *PreBr = cast<BranchInst>(Preheader->getTerminator());
     Preheader->erase(PreBr);
     Preheader->append(F.bodyArena().create<BranchInst>(

@@ -6,6 +6,8 @@
 
 #include "opt/Pass.h"
 
+#include "analysis/Dominators.h"
+#include "analysis/LoopInfo.h"
 #include "ir/Module.h"
 
 #include <sstream>
@@ -94,12 +96,34 @@ std::unique_ptr<PassManager> PassManager::clone() const {
   return PM;
 }
 
+FunctionAnalyses::FunctionAnalyses(const Function &F) : F(F) {}
+
+FunctionAnalyses::~FunctionAnalyses() = default;
+
+DominatorTree &FunctionAnalyses::getDomTree() {
+  if (!DT)
+    DT = std::make_unique<DominatorTree>(F);
+  return *DT;
+}
+
+LoopInfo &FunctionAnalyses::getLoopInfo() {
+  if (!LI)
+    LI = std::make_unique<LoopInfo>(F, getDomTree());
+  return *LI;
+}
+
+void FunctionAnalyses::invalidateCFG() {
+  LI.reset();
+  DT.reset();
+}
+
 bool PassManager::run(Function &F) {
   bool Changed = false;
   if (ChangeCounts.size() != Passes.size())
     ChangeCounts.assign(Passes.size(), 0);
+  FunctionAnalyses FA(F);
   for (unsigned I = 0, E = Passes.size(); I != E; ++I) {
-    if (Passes[I]->run(F)) {
+    if (Passes[I]->run(F, FA)) {
       ++ChangeCounts[I];
       Changed = true;
     }

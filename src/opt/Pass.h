@@ -20,8 +20,43 @@
 
 namespace llvmmd {
 
+class DominatorTree;
 class Function;
+class LoopInfo;
 class Module;
+
+/// The CFG analyses of one function version: its DominatorTree and
+/// LoopInfo, each built on first request and then shared by every pass that
+/// asks until a pass changes the CFG. Only the CFG feeds them (block list
+/// order, terminator successors), so a pass that rewrites, erases or moves
+/// non-terminator instructions keeps them valid; a pass that creates or
+/// erases a block, retargets or folds a branch, or reorders the block list
+/// calls invalidateCFG() before returning, or before asking again itself.
+/// This is the function-analysis caching of LLVM's new pass manager,
+/// reduced to the two analyses the optimizer shares.
+class FunctionAnalyses {
+public:
+  explicit FunctionAnalyses(const Function &F);
+  ~FunctionAnalyses();
+  FunctionAnalyses(const FunctionAnalyses &) = delete;
+  FunctionAnalyses &operator=(const FunctionAnalyses &) = delete;
+
+  DominatorTree &getDomTree();
+  /// Builds the dominator tree too when it is not cached.
+  LoopInfo &getLoopInfo();
+
+  /// Drops both analyses: the CFG they describe is gone.
+  void invalidateCFG();
+
+  /// The cached analyses, or null; never builds.
+  const DominatorTree *cachedDomTree() const { return DT.get(); }
+  const LoopInfo *cachedLoopInfo() const { return LI.get(); }
+
+private:
+  const Function &F;
+  std::unique_ptr<DominatorTree> DT;
+  std::unique_ptr<LoopInfo> LI;
+};
 
 /// A transformation over one function.
 class FunctionPass {
@@ -30,8 +65,16 @@ public:
 
   virtual const char *getName() const = 0;
 
-  /// Transforms \p F in place; returns true iff something changed.
-  virtual bool run(Function &F) = 0;
+  /// Transforms \p F in place; returns true iff something changed. CFG
+  /// analyses come from \p FA, which the pass invalidates when it changes
+  /// the CFG (see FunctionAnalyses).
+  virtual bool run(Function &F, FunctionAnalyses &FA) = 0;
+
+  /// Runs on \p F with analyses of its own.
+  bool run(Function &F) {
+    FunctionAnalyses FA(F);
+    return run(F, FA);
+  }
 };
 
 /// Creates a pass by its pipeline name; null for unknown names. Known:
@@ -67,7 +110,8 @@ public:
   /// Cheap: no pass objects are constructed.
   bool isClonable() const;
 
-  /// Runs the pipeline on one function; returns true iff any pass changed it.
+  /// Runs the pipeline on one function; returns true iff any pass changed
+  /// it. The passes share one FunctionAnalyses.
   bool run(Function &F);
 
   /// Runs the pipeline on every defined function.

@@ -19,8 +19,6 @@
 #include "ir/Module.h"
 #include "opt/Local.h"
 
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace llvmmd;
@@ -36,17 +34,27 @@ struct LatticeValue {
   bool isOverdefined() const { return S == State::Overdefined; }
 };
 
+/// Solver state is flat and indexed by the function's numbers: the lattice
+/// by value number, executability by block number, and each block's
+/// executable out-edges as a mask over its terminator's successor slots.
+/// One solver serves every function its pass runs on, keeping its buffers.
 class SCCPSolver {
 public:
-  explicit SCCPSolver(Function &F)
-      : F(F), Ctx(F.getParent()->getContext()) {}
-
-  bool run() {
+  /// Solves \p F and applies the result; true iff \p F changed. The CFG
+  /// analyses are invalidated when a branch folds or a block goes.
+  bool run(Function &F, FunctionAnalyses &FA) {
     if (F.isDeclaration())
       return false;
+    this->F = &F;
+    Ctx = &F.getParent()->getContext();
+    Values.assign(F.getMaxValueNumber(), LatticeValue());
+    ExecutableBlocks.assign(F.getMaxBlockNumber(), 0);
+    ExecutableEdges.assign(F.getMaxBlockNumber(), 0);
+    BlockWorklist.clear();
+    InstWorklist.clear();
     markBlockExecutable(F.getEntryBlock());
     solve();
-    return rewrite();
+    return rewrite(FA);
   }
 
 private:
@@ -61,12 +69,11 @@ private:
     }
     if (isa<Argument>(V))
       return {LatticeValue::State::Overdefined, nullptr};
-    auto It = Values.find(V);
-    return It == Values.end() ? LatticeValue() : It->second;
+    return Values[V->getNumber()];
   }
 
   void markOverdefined(Instruction *I) {
-    LatticeValue &LV = Values[I];
+    LatticeValue &LV = Values[I->getNumber()];
     if (LV.isOverdefined())
       return;
     LV.S = LatticeValue::State::Overdefined;
@@ -75,7 +82,7 @@ private:
   }
 
   void markConstant(Instruction *I, Constant *C) {
-    LatticeValue &LV = Values[I];
+    LatticeValue &LV = Values[I->getNumber()];
     if (LV.isConst() && LV.C == C)
       return;
     if (LV.isOverdefined())
@@ -89,23 +96,46 @@ private:
     InstWorklist.push_back(I);
   }
 
+  bool isExecutable(const BasicBlock *BB) const {
+    return ExecutableBlocks[BB->getNumber()];
+  }
+
   void markBlockExecutable(BasicBlock *BB) {
-    if (!ExecutableBlocks.insert(BB).second)
+    uint8_t &Exec = ExecutableBlocks[BB->getNumber()];
+    if (Exec)
       return;
+    Exec = 1;
     BlockWorklist.push_back(BB);
   }
 
+  /// Marks the edge \p From -> \p To (a successor of \p From) executable.
+  /// An edge is a (From, To) pair: `br %c, %x, %x` has one.
   void markEdgeExecutable(BasicBlock *From, BasicBlock *To) {
-    if (!ExecutableEdges.insert({From, To}).second)
+    if (isEdgeExecutable(From, To))
       return;
+    SuccessorRange Succs = From->successors();
+    for (unsigned K = 0; K != Succs.size(); ++K)
+      if (Succs[K] == To) {
+        ExecutableEdges[From->getNumber()] |= uint8_t(1) << K;
+        break;
+      }
     markBlockExecutable(To);
     // Re-evaluate phis in To: a new edge may add information.
     for (PhiNode *P : To->phis())
       visit(P);
   }
 
-  bool isEdgeExecutable(BasicBlock *From, BasicBlock *To) const {
-    return ExecutableEdges.count({From, To}) != 0;
+  bool isEdgeExecutable(const BasicBlock *From, const BasicBlock *To) const {
+    if (From->getParent() != F)
+      return false;
+    uint8_t Mask = ExecutableEdges[From->getNumber()];
+    if (!Mask)
+      return false;
+    SuccessorRange Succs = From->successors();
+    for (unsigned K = 0; K != Succs.size(); ++K)
+      if ((Mask >> K & 1) && Succs[K] == To)
+        return true;
+    return false;
   }
 
   void solve() {
@@ -121,14 +151,14 @@ private:
         InstWorklist.pop_back();
         for (User *U : I->users())
           if (auto *UI = dyn_cast<Instruction>(U))
-            if (ExecutableBlocks.count(UI->getParent()))
+            if (isExecutable(UI->getParent()))
               visit(UI);
       }
     }
   }
 
   void visit(Instruction *I) {
-    if (!ExecutableBlocks.count(I->getParent()))
+    if (!isExecutable(I->getParent()))
       return;
     switch (I->getOpcode()) {
     case Opcode::Phi:
@@ -200,7 +230,8 @@ private:
   void visitFoldable(Instruction *I) {
     // Gather operand lattices.
     bool AnyUnknown = false, AnyOverdef = false;
-    std::vector<Constant *> Ops;
+    std::vector<Constant *> &Ops = FoldOps;
+    Ops.clear();
     for (Value *Op : I->operands()) {
       LatticeValue LV = getLattice(Op);
       if (LV.isUnknown())
@@ -234,7 +265,7 @@ private:
         auto *B = dyn_cast<ConstantFP>(Ops[1]);
         if (!A || !B)
           return nullptr;
-        return Ctx.getFloat(
+        return Ctx->getFloat(
             foldFloatBinary(I->getOpcode(), A->getValue(), B->getValue()));
       }
       auto *A = dyn_cast<ConstantInt>(Ops[0]);
@@ -243,14 +274,14 @@ private:
         return nullptr;
       auto R = foldIntBinary(I->getOpcode(), A->getSExtValue(),
                              B->getSExtValue(), A->getBitWidth());
-      return R ? Ctx.getInt(I->getType(), *R) : nullptr;
+      return R ? Ctx->getInt(I->getType(), *R) : nullptr;
     }
     if (auto *Cmp = dyn_cast<ICmpInst>(I)) {
       auto *A = dyn_cast<ConstantInt>(Ops[0]);
       auto *B = dyn_cast<ConstantInt>(Ops[1]);
       if (!A || !B)
         return nullptr;
-      return Ctx.getBool(foldICmp(Cmp->getPred(), A->getSExtValue(),
+      return Ctx->getBool(foldICmp(Cmp->getPred(), A->getSExtValue(),
                                   B->getSExtValue(), A->getBitWidth()));
     }
     if (auto *Cmp = dyn_cast<FCmpInst>(I)) {
@@ -258,14 +289,14 @@ private:
       auto *B = dyn_cast<ConstantFP>(Ops[1]);
       if (!A || !B)
         return nullptr;
-      return Ctx.getBool(
+      return Ctx->getBool(
           foldFCmp(Cmp->getPred(), A->getValue(), B->getValue()));
     }
     if (I->isCast()) {
       auto *A = dyn_cast<ConstantInt>(Ops[0]);
       if (!A)
         return nullptr;
-      return Ctx.getInt(I->getType(),
+      return Ctx->getInt(I->getType(),
                         foldCast(I->getOpcode(), A->getSExtValue(),
                                  A->getBitWidth(),
                                  I->getType()->getBitWidth()));
@@ -281,13 +312,13 @@ private:
 
   /// Applies the solution: replaces constant instructions, folds branches,
   /// deletes unreachable blocks.
-  bool rewrite() {
+  bool rewrite(FunctionAnalyses &FA) {
     bool Changed = false;
-    for (const auto &BB : F.blocks()) {
-      if (!ExecutableBlocks.count(BB))
+    for (BasicBlock *BB : F->blocks()) {
+      if (!isExecutable(BB))
         continue;
-      std::vector<Instruction *> Insts(BB->begin(), BB->end());
-      for (Instruction *I : Insts) {
+      for (Instruction *I = BB->front(), *Next; I; I = Next) {
+        Next = I->getNextNode();
         LatticeValue LV = getLattice(I);
         if (!LV.isConst() || I->getType()->isVoid())
           continue;
@@ -297,8 +328,9 @@ private:
       }
     }
     // Fold branches along non-executable edges.
-    for (const auto &BB : F.blocks()) {
-      if (!ExecutableBlocks.count(BB))
+    bool CFGChanged = false;
+    for (BasicBlock *BB : F->blocks()) {
+      if (!isExecutable(BB))
         continue;
       auto *Br = dyn_cast_or_null<BranchInst>(BB->getTerminator());
       if (!Br || !Br->isConditional())
@@ -313,27 +345,36 @@ private:
         continue; // block is dead anyway; unreachable removal handles it
       removePhiEntriesFor(Dead, BB);
       Br->makeUnconditional(Live);
-      Changed = true;
+      CFGChanged = true;
     }
-    Changed |= removeUnreachableBlocks(F) > 0;
-    Changed |= foldSingleEntryPhis(F) > 0;
-    Changed |= removeDeadInstructions(F) > 0;
+    CFGChanged |= removeUnreachableBlocks(*F) > 0;
+    if (CFGChanged)
+      FA.invalidateCFG();
+    Changed |= CFGChanged;
+    Changed |= foldSingleEntryPhis(*F) > 0;
+    Changed |= removeDeadInstructions(*F) > 0;
     return Changed;
   }
 
-  Function &F;
-  Context &Ctx;
-  std::map<Value *, LatticeValue> Values;
-  std::set<BasicBlock *> ExecutableBlocks;
-  std::set<std::pair<BasicBlock *, BasicBlock *>> ExecutableEdges;
+  Function *F = nullptr;
+  Context *Ctx = nullptr;
+  std::vector<LatticeValue> Values;       ///< by value number
+  std::vector<uint8_t> ExecutableBlocks;  ///< by block number
+  std::vector<uint8_t> ExecutableEdges;   ///< successor-slot mask, by block
   std::vector<BasicBlock *> BlockWorklist;
   std::vector<Instruction *> InstWorklist;
+  std::vector<Constant *> FoldOps; ///< visitFoldable's operand constants
 };
 
 class SCCPPass : public FunctionPass {
 public:
   const char *getName() const override { return "sccp"; }
-  bool run(Function &F) override { return SCCPSolver(F).run(); }
+  bool run(Function &F, FunctionAnalyses &FA) override {
+    return Solver.run(F, FA);
+  }
+
+private:
+  SCCPSolver Solver;
 };
 
 } // namespace

@@ -24,7 +24,7 @@ class SimplifyCFGPass : public FunctionPass {
 public:
   const char *getName() const override { return "simplifycfg"; }
 
-  bool run(Function &F) override {
+  bool run(Function &F, FunctionAnalyses &FA) override {
     if (F.isDeclaration())
       return false;
     bool Changed = false;
@@ -37,6 +37,9 @@ public:
       LocalChange |= mergeChains(F);
       Changed |= LocalChange;
     }
+    // Every step but φ folding reshapes the CFG.
+    if (Changed)
+      FA.invalidateCFG();
     return Changed;
   }
 
@@ -97,16 +100,17 @@ private:
           continue;
         assert(PredBr->getSuccessor(0) == BB && "inconsistent CFG");
         // Single-entry phis in BB fold to the incoming value.
-        std::vector<PhiNode *> Phis = BB->phis();
-        for (PhiNode *P : Phis) {
+        PhiRange Phis = BB->phis();
+        for (auto It = Phis.begin(); It != Phis.end();) {
+          PhiNode *P = *It++;
           assert(P->getNumIncoming() == 1 && "phi/pred mismatch");
           P->replaceAllUsesWith(P->getIncomingValue(0));
           BB->erase(P);
         }
         // Splice instructions: delete Pred's branch, move BB's body.
         Pred->erase(PredBr);
-        std::vector<Instruction *> Body(BB->begin(), BB->end());
-        for (Instruction *I : Body) {
+        while (!BB->empty()) {
+          Instruction *I = BB->front();
           BB->remove(I);
           Pred->append(I);
         }

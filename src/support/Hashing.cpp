@@ -11,7 +11,7 @@
 #include "ir/Module.h"
 
 #include <cstring>
-#include <unordered_map>
+#include <vector>
 
 using namespace llvmmd;
 
@@ -28,14 +28,36 @@ namespace {
 
 uint64_t hashType(const Type *Ty) { return hashTypeShape(Ty); }
 
+/// Dense fingerprint-order numbers of one function's arguments, blocks and
+/// instructions, indexed by their body numbers (0 = not numbered here).
+struct FingerprintNumbering {
+  const Function *F = nullptr;
+  std::vector<uint64_t> Values;
+  std::vector<uint64_t> Blocks;
+
+  /// \p V's fingerprint number, or 0 for a value outside \p F's body.
+  uint64_t of(const Value *V) const {
+    unsigned N = V->getNumber();
+    if (N == Value::NoNumber)
+      return 0;
+    if (const auto *A = dyn_cast<Argument>(V))
+      return N < F->getNumArgs() && F->getArg(N) == A ? Values[N] : 0;
+    const BasicBlock *BB = cast<Instruction>(V)->getParent();
+    return BB && BB->getParent() == F && N < Values.size() ? Values[N] : 0;
+  }
+  uint64_t of(const BasicBlock *BB) const {
+    unsigned N = BB->getNumber();
+    return BB->getParent() == F && N < Blocks.size() ? Blocks[N] : 0;
+  }
+};
+
 /// Mixes one operand reference into \p H. Instructions and arguments use
 /// their dense per-function number; constants hash by value, globals and
 /// functions by name.
 uint64_t hashOperand(uint64_t H, const Value *V,
-                     const std::unordered_map<const Value *, uint64_t> &Num) {
-  auto It = Num.find(V);
-  if (It != Num.end())
-    return hashCombine(hashCombine(H, 0x01), It->second);
+                     const FingerprintNumbering &Num) {
+  if (uint64_t N = Num.of(V))
+    return hashCombine(hashCombine(H, 0x01), N);
   switch (V->getKind()) {
   case ValueKind::ConstantInt:
     H = hashCombine(H, 0x02);
@@ -77,22 +99,26 @@ uint64_t llvmmd::fingerprintFunction(const Function &F) {
   if (F.isDeclaration())
     return H;
 
-  // Pass 1: dense numbering of blocks, arguments and instructions, so
-  // forward references (phis) hash consistently.
-  std::unordered_map<const Value *, uint64_t> Num;
-  std::unordered_map<const BasicBlock *, uint64_t> BlockNum;
+  // Pass 1: dense numbering of blocks, arguments and instructions in
+  // block order, so forward references (phis) hash consistently and a
+  // clone (numbered afresh) hashes like its source. The tables are reused
+  // by the calling thread.
+  thread_local FingerprintNumbering Num;
+  Num.F = &F;
+  Num.Values.assign(F.getMaxValueNumber(), 0);
+  Num.Blocks.assign(F.getMaxBlockNumber(), 0);
   uint64_t NextNum = 1;
   for (unsigned I = 0, E = F.getNumArgs(); I != E; ++I)
-    Num.emplace(F.getArg(I), NextNum++);
+    Num.Values[I] = NextNum++;
   for (const auto &BB : F.blocks()) {
-    BlockNum.emplace(BB, NextNum++);
+    Num.Blocks[BB->getNumber()] = NextNum++;
     for (const Instruction *I : *BB)
-      Num.emplace(I, NextNum++);
+      Num.Values[I->getNumber()] = NextNum++;
   }
 
   // Pass 2: hash every instruction in block order.
   for (const auto &BB : F.blocks()) {
-    H = hashCombine(H, BlockNum[BB]);
+    H = hashCombine(H, Num.Blocks[BB->getNumber()]);
     for (const Instruction *I : *BB) {
       H = hashCombine(H, static_cast<uint64_t>(I->getOpcode()));
       H = hashCombine(H, hashType(I->getType()));
@@ -113,10 +139,10 @@ uint64_t llvmmd::fingerprintFunction(const Function &F) {
             H, static_cast<uint64_t>(Call->getCallee()->getMemoryEffect()));
       } else if (const auto *Phi = dyn_cast<PhiNode>(I)) {
         for (unsigned PI = 0, PE = Phi->getNumIncoming(); PI != PE; ++PI)
-          H = hashCombine(H, BlockNum[Phi->getIncomingBlock(PI)]);
+          H = hashCombine(H, Num.of(Phi->getIncomingBlock(PI)));
       } else if (const auto *Br = dyn_cast<BranchInst>(I)) {
         for (unsigned SI = 0, SE = Br->getNumSuccessors(); SI != SE; ++SI)
-          H = hashCombine(H, BlockNum[Br->getSuccessor(SI)]);
+          H = hashCombine(H, Num.of(Br->getSuccessor(SI)));
       }
     }
   }

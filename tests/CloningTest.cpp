@@ -75,8 +75,9 @@ TEST(Cloning, ClonePreservesBehavior) {
       auto RB = IB.run(*FC, {RtValue::makeInt(T), RtValue::makeInt(-T),
                              RtValue::makePtr(SB)});
       ASSERT_EQ(RA.Status, RB.Status);
-      if (RA.Status == ExecStatus::OK)
+      if (RA.Status == ExecStatus::OK) {
         EXPECT_TRUE(RA.Value == RB.Value);
+      }
     }
   }
 }
@@ -143,17 +144,18 @@ x:
   for (const auto &BB : F->blocks())
     if (BB->getName() == "h" || BB->getName() == "b")
       LoopBlocks.push_back(BB);
-  std::map<const Value *, Value *> VMap;
-  std::map<const BasicBlock *, BasicBlock *> BMap;
-  auto Clones = cloneBlocks(*F, LoopBlocks, VMap, BMap, ".c");
+  CloneMap Map;
+  auto Clones = cloneBlocks(*F, LoopBlocks, Map, ".c");
   ASSERT_EQ(Clones.size(), 2u);
+  EXPECT_EQ(Map.lookup(LoopBlocks[0]), Clones[0]);
+  EXPECT_EQ(Map.lookup(Clones[0]), nullptr);
   // The cloned latch branches to the cloned header, not the original.
-  BasicBlock *ClonedB = BMap.at(LoopBlocks[1]);
+  BasicBlock *ClonedB = Map.lookup(LoopBlocks[1]);
   auto *Br = cast<BranchInst>(ClonedB->getTerminator());
-  EXPECT_EQ(Br->getSuccessor(0), BMap.at(LoopBlocks[0]));
+  EXPECT_EQ(Br->getSuccessor(0), Map.lookup(LoopBlocks[0]));
   // The cloned phi keeps its external entry (from `entry`) unmapped and
   // remaps the latch entry.
-  auto *ClonedPhi = cast<PhiNode>(BMap.at(LoopBlocks[0])->front());
+  auto *ClonedPhi = cast<PhiNode>(Map.lookup(LoopBlocks[0])->front());
   bool SawEntry = false, SawClonedLatch = false;
   for (unsigned K = 0; K < ClonedPhi->getNumIncoming(); ++K) {
     SawEntry |= ClonedPhi->getIncomingBlock(K)->getName() == "entry";
@@ -162,9 +164,11 @@ x:
   EXPECT_TRUE(SawEntry);
   EXPECT_TRUE(SawClonedLatch);
   // The cloned add uses the cloned phi.
-  auto *ClonedAdd = cast<Instruction>(VMap.at(
+  auto *ClonedAdd = cast<Instruction>(Map.lookup(
       *std::next(LoopBlocks[1]->begin(), 0)));
-  EXPECT_EQ(ClonedAdd->getOperand(0), VMap.at(LoopBlocks[0]->front()));
+  EXPECT_EQ(ClonedAdd->getOperand(0), Map.lookup(LoopBlocks[0]->front()));
+  // Values outside the cloned blocks have no copy.
+  EXPECT_EQ(Map.lookup(F->getArg(0)), nullptr);
 }
 
 TEST(Cloning, ShellThenBodiesMatchesCloneModule) {
@@ -200,8 +204,9 @@ TEST(Cloning, ShellThenBodiesMatchesCloneModule) {
       for (const Instruction *I : *BB) {
         for (const Value *Op : I->operands())
           EXPECT_FALSE(Source.count(Op)) << F->getName();
-        if (const auto *Call = dyn_cast<CallInst>(I))
+        if (const auto *Call = dyn_cast<CallInst>(I)) {
           EXPECT_FALSE(Source.count(Call->getCallee())) << F->getName();
+        }
       }
 }
 

@@ -94,9 +94,10 @@ TEST_P(ProfileSweep, ValidationEffectivenessFloor) {
   expectVerified(*Out);
   // The paper validates ~80% overall; demand at least 50% per (truncated)
   // benchmark so regressions in the rules or the builder surface here.
-  if (Report.transformed() >= 4)
+  if (Report.transformed() >= 4) {
     EXPECT_GE(Report.validationRate(), 0.5)
         << "validation effectiveness collapsed for " << GetParam();
+  }
 }
 
 TEST_P(ProfileSweep, ValidatedOptimizationsAgreeWithInterpreter) {

@@ -59,7 +59,12 @@ BenchmarkProfile smallProfile() {
 class BugInjectorPass : public FunctionPass {
 public:
   const char *getName() const override { return "bug-inject"; }
-  bool run(Function &F) override { return !injectBug(F, 42).empty(); }
+  bool run(Function &F, FunctionAnalyses &FA) override {
+    bool Changed = !injectBug(F, 42).empty();
+    if (Changed)
+      FA.invalidateCFG(); // a bug may retarget a branch
+    return Changed;
+  }
 };
 
 } // namespace
@@ -197,8 +202,9 @@ TEST(EngineTest, SuiteSharesVerdictsAcrossModules) {
     EXPECT_EQ(A.FingerprintOpt, B.FingerprintOpt) << A.Name;
     EXPECT_EQ(A.Validated, B.Validated) << A.Name;
     // The second module's transformed functions replay the first's verdicts.
-    if (B.Transformed && !B.SkippedIdentical)
+    if (B.Transformed && !B.SkippedIdentical) {
       EXPECT_TRUE(B.CacheHit) << B.Name;
+    }
   }
   EXPECT_EQ(Run.Report.cacheHits(), R2.transformed() - R2.skippedIdentical());
 }
@@ -484,8 +490,9 @@ TEST(EngineTest, OptimizedModulesReferenceOnlyTheirOwnGlobals) {
     // really re-cloned bodies.
     EXPECT_GT(GlobalRefs, 0u) << Md.Name;
     EXPECT_GT(Callees, 0u) << Md.Name;
-    if (Md.Revert)
+    if (Md.Revert) {
       EXPECT_GT(Reverted, 0u) << Md.Name;
+    }
   }
 }
 

@@ -89,8 +89,9 @@ LLFunctionReject expectSingleReject(const std::string &LL,
   // rejected for its *signature* cannot be represented at all (callers
   // reject with unsupported-callee instead).
   if (R.M) {
-    if (Function *F = R.M->getFunction(R.Rejected[0].Function))
+    if (Function *F = R.M->getFunction(R.Rejected[0].Function)) {
       EXPECT_TRUE(F->isDeclaration());
+    }
   }
   return R.Rejected[0];
 }
@@ -699,9 +700,10 @@ TEST(LLVMFrontendTest, LoaderParsesOneSpecInline) {
   Caller = traceTids(Json, "loader_test_marker");
   Loads = traceTids(Json, "load_module");
   ASSERT_EQ(Loads.size(), 3u);
-  if (std::thread::hardware_concurrency() > 1)
+  if (std::thread::hardware_concurrency() > 1) {
     for (const std::string &Tid : Loads)
       EXPECT_NE(Tid, Caller[0]);
+  }
 }
 
 //===----------------------------------------------------------------------===//

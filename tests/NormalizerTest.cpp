@@ -460,8 +460,9 @@ TEST(NormalizerTermination, CmpCanonicalizationLintTable) {
           bool CA = G.node(A).Kind == NodeKind::ConstInt;
           bool CB = G.node(B).Kind == NodeKind::ConstInt;
           EXPECT_FALSE(CA && !CB) << "constant left of a non-constant";
-          if (!CA && !CB)
+          if (!CA && !CB) {
             EXPECT_LT(A, B) << "non-constants not in node order";
+          }
         }
 }
 

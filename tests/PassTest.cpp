@@ -110,8 +110,9 @@ j:
   // The false edge is gone; the return value folded to the constant 1.
   // (SCCP leaves straight-line block chains; simplifycfg merges them.)
   for (const auto &BB : R.F->blocks())
-    if (auto *Ret = dyn_cast_or_null<ReturnInst>(BB->getTerminator()))
+    if (auto *Ret = dyn_cast_or_null<ReturnInst>(BB->getTerminator())) {
       EXPECT_EQ(cast<ConstantInt>(Ret->getReturnValue())->getSExtValue(), 1);
+    }
   EXPECT_LE(R.F->getNumBlocks(), 3u);
 }
 
@@ -750,9 +751,10 @@ entry:
   for (Instruction *I : *R.F->getEntryBlock()) {
     Shls += I->getOpcode() == Opcode::Shl;
     Subs += I->getOpcode() == Opcode::Sub;
-    if (auto *Cmp = dyn_cast<ICmpInst>(I))
+    if (auto *Cmp = dyn_cast<ICmpInst>(I)) {
       EXPECT_FALSE(isa<ConstantInt>(Cmp->getLHS()))
           << "constant should move to the RHS";
+    }
   }
   EXPECT_EQ(Shls, 2u); // a+a and a*8
   EXPECT_EQ(Subs, 1u); // a + (-5)

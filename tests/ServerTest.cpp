@@ -272,8 +272,9 @@ TEST(ServerTest, GarbageFrameClosesOnlyThatConnection) {
   // Server answers with a protocol error (it has not seen Hello) and
   // closes; either the error frame or a straight EOF is acceptable.
   ReadStatus RS = readFrame(Raw.fd(), F, DefaultMaxFrameBytes);
-  if (RS == ReadStatus::Ok)
+  if (RS == ReadStatus::Ok) {
     EXPECT_EQ(F.Type, FrameType::Error);
+  }
 
   ServerClient Good;
   EXPECT_TRUE(attach(Good, D.Sock));

@@ -502,10 +502,11 @@ TEST(Triage, EveryRejectedPairOfTheInjectedCorpusIsClassified) {
     // corpus, so a probe witness implies a triage witness.
     DiffOutcome O = Probe.test(*M->getFunction(E.Name),
                                *Mutant->getFunction(E.Name), 48);
-    if (O.HasWitness)
+    if (O.HasWitness) {
       EXPECT_EQ(E.Triage.Classification,
                 TriageClassification::MiscompileWitnessed)
           << E.Name << ": probe diverges but triage found no witness";
+    }
   }
   EXPECT_GT(Rejected, 0u);
 }

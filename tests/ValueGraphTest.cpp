@@ -141,8 +141,9 @@ unsigned countBisimilarPairs(const ValueGraph &G) {
 /// represented by its smallest id; and another round merges nothing.
 void expectMaximallyShared(ValueGraph &G, SharingStrategy Strategy) {
   EXPECT_EQ(countCongruentPairs(G), 0u);
-  if (Strategy != SharingStrategy::Simple)
+  if (Strategy != SharingStrategy::Simple) {
     EXPECT_EQ(countBisimilarPairs(G), 0u);
+  }
   for (NodeId I = 0; I < G.size(); ++I)
     ASSERT_LE(G.find(I), I) << "class of n" << I
                             << " is not represented by its smallest id";

@@ -245,8 +245,9 @@ TEST(VerdictStoreTest, ConcurrentShardsSavingTheSamePathMerge) {
   ASSERT_TRUE(VerdictStore::load(F.path(), 0xd1, Loaded).loaded());
   EXPECT_EQ(Loaded.size(), ShardA.size() + ShardB.size() - 1);
   for (const auto &[K, R] : ShardA)
-    if (!(K == Contested))
+    if (!(K == Contested)) {
       EXPECT_EQ(Loaded.at(K).Rewrites, R.Rewrites);
+    }
   for (const auto &[K, R] : ShardB)
     EXPECT_EQ(Loaded.at(K).Rewrites, R.Rewrites);
   EXPECT_EQ(Loaded.at(Contested).Rewrites, 2u) << "last writer must win";
