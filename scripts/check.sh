@@ -5,8 +5,9 @@
 #
 #   (default)  tier-1 build + ctest, fig4 smoke, engine determinism checks
 #              (the 12-profile Table-1 suite JSON byte-identical at 1 and 4
-#              threads, which puts concurrent module loading and per-task
-#              body cloning under the check on every module), and no
+#              threads, whole-pipeline and --stepwise, which puts concurrent
+#              module loading, per-task body cloning and per-pass snapshots
+#              under the check on every module), and no
 #              Table-1 function may hit the iteration budget
 #   --tsan     ThreadSanitizer build (CMake preset "tsan") running the
 #              engine + cloning + concurrent-interning + loader + triage +
@@ -634,6 +635,15 @@ TABLE1=sqlite,bzip2,gcc,h264ref,hmmer,lbm,libquantum,mcf,milc,perlbench,sjeng,sp
 run_bv --suite "$TABLE1" --threads 1 --quiet --json "$BUILD_DIR/check_table1_t1.json"
 run_bv --suite "$TABLE1" --threads 4 --quiet --json "$BUILD_DIR/check_table1.json"
 cmp "$BUILD_DIR/check_table1_t1.json" "$BUILD_DIR/check_table1.json"
+
+# And under --stepwise: the only mode that snapshots (clones) a function
+# between passes and validates each step, so it exercises the optimizer's
+# shared CFG analyses being invalidated and rebuilt pass by pass.
+run_bv --suite "$TABLE1" --stepwise --threads 1 --quiet \
+  --json "$BUILD_DIR/check_table1_step_t1.json"
+run_bv --suite "$TABLE1" --stepwise --threads 4 --quiet \
+  --json "$BUILD_DIR/check_table1_step.json"
+cmp "$BUILD_DIR/check_table1_step_t1.json" "$BUILD_DIR/check_table1_step.json"
 
 # Termination gate: over the same suite, normalization must stop on merged
 # roots or on a sweep that changed nothing, never on the iteration budget.

@@ -16,15 +16,24 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
     return;
   // An alloca escapes if its address (or a GEP of it) is stored anywhere,
   // passed to a call, or returned. We run a small fixpoint over the
-  // "address-of" dataflow: derived = {alloca} closed under GEP.
+  // "address-of" dataflow: derived = {alloca} closed under GEP. Seen[n]
+  // == the alloca's ordinal marks value n as derived from the current one.
+  std::vector<unsigned> Seen;
+  unsigned Ordinal = 0;
+  std::vector<const Value *> Work;
   for (const auto &BB : F.blocks()) {
     for (const Instruction *I : *BB) {
       const auto *AI = dyn_cast<AllocaInst>(I);
       if (!AI)
         continue;
+      if (Seen.empty()) {
+        Seen.assign(F.getMaxValueNumber(), 0);
+        NonEscaping.assign(F.getMaxValueNumber(), nullptr);
+      }
+      ++Ordinal;
       bool Escapes = false;
-      std::vector<const Value *> Work{AI};
-      std::set<const Value *> Seen{AI};
+      Work.assign(1, AI);
+      Seen[AI->getNumber()] = Ordinal;
       while (!Work.empty() && !Escapes) {
         const Value *V = Work.back();
         Work.pop_back();
@@ -41,8 +50,11 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
               Escapes = true;
             break;
           case Opcode::GEP:
-            if (Seen.insert(UI).second)
+            assert(UI->getNumber() < Seen.size() && "user outside the body");
+            if (Seen[UI->getNumber()] != Ordinal) {
+              Seen[UI->getNumber()] = Ordinal;
               Work.push_back(UI);
+            }
             break;
           case Opcode::ICmp:
             break; // comparing addresses does not publish them
@@ -64,9 +76,14 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
         }
       }
       if (!Escapes)
-        NonEscaping.insert(AI);
+        NonEscaping[AI->getNumber()] = AI;
     }
   }
+}
+
+bool AliasAnalysis::isNonEscapingAlloca(const Value *V) const {
+  unsigned N = V->getNumber();
+  return N < NonEscaping.size() && NonEscaping[N] == V;
 }
 
 AliasAnalysis::Decomposed AliasAnalysis::decompose(const Value *Ptr) {
@@ -120,8 +137,7 @@ AliasResult AliasAnalysis::alias(const Value *PtrA, unsigned SizeA,
     return AliasResult::NoAlias;
 
   // A non-escaping alloca cannot alias anything not derived from it.
-  if ((isa<AllocaInst>(A.Base) && NonEscaping.count(A.Base)) ||
-      (isa<AllocaInst>(B.Base) && NonEscaping.count(B.Base)))
+  if (isNonEscapingAlloca(A.Base) || isNonEscapingAlloca(B.Base))
     return AliasResult::NoAlias;
 
   return AliasResult::MayAlias;

@@ -18,9 +18,8 @@
 #define LLVMMD_ANALYSIS_ALIASANALYSIS_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
+#include <vector>
 
 namespace llvmmd {
 
@@ -47,9 +46,7 @@ public:
 
   /// True if \p V is an alloca whose address never escapes the function
   /// (not stored, not passed to calls, not returned).
-  bool isNonEscapingAlloca(const Value *V) const {
-    return NonEscaping.count(V) != 0;
-  }
+  bool isNonEscapingAlloca(const Value *V) const;
 
   /// Decomposes \p Ptr into (base, constant byte offset) through GEP chains
   /// with constant indices; nullopt offset when an index is not constant.
@@ -64,7 +61,8 @@ public:
   static bool isIdentifiedObject(const Value *V);
 
 private:
-  std::set<const Value *> NonEscaping;
+  /// The non-escaping allocas, each at its value number (null elsewhere).
+  std::vector<const Value *> NonEscaping;
 };
 
 } // namespace llvmmd

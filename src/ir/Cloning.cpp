@@ -71,6 +71,7 @@ Instruction *copyInstruction(const Instruction *I, Arena &A, MapV V, MapB B) {
   case Opcode::Phi: {
     const auto *P = cast<PhiNode>(I);
     auto *NP = A.create<PhiNode>(P->getType());
+    NP->reserveIncoming(P->getNumIncoming());
     for (unsigned K = 0, E = P->getNumIncoming(); K != E; ++K)
       NP->addIncoming(V(P->getIncomingValue(K)), B(P->getIncomingBlock(K)));
     return NP;
@@ -247,7 +248,8 @@ void llvmmd::cloneFunctionBody(const Function &Src, Function &Dst,
   CloneMap Map;
   BodyCloner C(Src, Map, Dst.getParent()->getContext(), Dst.bodyArena(),
                [Shell](Value *V) -> Value * {
-                 if (Shell) {
+                 // The shell maps only globals and functions.
+                 if (Shell && (isa<GlobalVariable>(V) || isa<Function>(V))) {
                    auto It = Shell->find(V);
                    if (It != Shell->end())
                      return It->second;

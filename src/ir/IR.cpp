@@ -213,6 +213,7 @@ CallInst::CallInst(Function *Callee, std::vector<Value *> Args, Type *RetTy)
   assert(Callee && "call requires a callee");
   assert(Args.size() == Callee->getFunctionType()->getNumParams() &&
          "call argument count mismatch");
+  reserveOperands(static_cast<unsigned>(Args.size()));
   for (Value *A : Args)
     addOperand(A);
 }

@@ -161,6 +161,7 @@ public:
       : Instruction(Op, LHS->getType()) {
     assert(llvmmd::isBinaryOp(Op) && "not a binary opcode");
     assert(LHS->getType() == RHS->getType() && "operand type mismatch");
+    reserveOperands(2);
     addOperand(LHS);
     addOperand(RHS);
   }
@@ -180,6 +181,7 @@ public:
   ICmpInst(ICmpPred Pred, Value *LHS, Value *RHS, Type *BoolTy)
       : Instruction(Opcode::ICmp, BoolTy), Pred(Pred) {
     assert(LHS->getType() == RHS->getType() && "operand type mismatch");
+    reserveOperands(2);
     addOperand(LHS);
     addOperand(RHS);
   }
@@ -203,6 +205,7 @@ class FCmpInst : public Instruction {
 public:
   FCmpInst(FCmpPred Pred, Value *LHS, Value *RHS, Type *BoolTy)
       : Instruction(Opcode::FCmp, BoolTy), Pred(Pred) {
+    reserveOperands(2);
     addOperand(LHS);
     addOperand(RHS);
   }
@@ -242,6 +245,7 @@ public:
   SelectInst(Value *Cond, Value *TrueV, Value *FalseV)
       : Instruction(Opcode::Select, TrueV->getType()) {
     assert(TrueV->getType() == FalseV->getType() && "select arm mismatch");
+    reserveOperands(3);
     addOperand(Cond);
     addOperand(TrueV);
     addOperand(FalseV);
@@ -299,6 +303,7 @@ public:
   StoreInst(Value *Val, Value *Ptr, Type *VoidTy)
       : Instruction(Opcode::Store, VoidTy) {
     assert(Ptr->getType()->isPointer() && "store to non-pointer");
+    reserveOperands(2);
     addOperand(Val);
     addOperand(Ptr);
   }
@@ -318,6 +323,7 @@ class GEPInst : public Instruction {
 public:
   GEPInst(Type *ElemTy, Value *Base, Value *Index, Type *PtrTy)
       : Instruction(Opcode::GEP, PtrTy), ElemTy(ElemTy) {
+    reserveOperands(2);
     addOperand(Base);
     addOperand(Index);
   }
@@ -363,6 +369,12 @@ private:
 class PhiNode : public Instruction {
 public:
   explicit PhiNode(Type *Ty) : Instruction(Opcode::Phi, Ty) {}
+
+  /// Sizes the incoming lists for \p N entries in one allocation each.
+  void reserveIncoming(unsigned N) {
+    reserveOperands(N);
+    Blocks.reserve(N);
+  }
 
   void addIncoming(Value *V, BasicBlock *BB) {
     assert(V->getType() == getType() && "phi incoming type mismatch");

@@ -155,6 +155,9 @@ public:
 protected:
   User(ValueKind Kind, Type *Ty) : Value(Kind, Ty) {}
 
+  /// Sizes the operand list for \p N operands in one allocation.
+  void reserveOperands(unsigned N) { Operands.reserve(N); }
+
   void addOperand(Value *V) {
     Operands.push_back(V);
     if (V)

@@ -4,10 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Cloning.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+#include "opt/Pass.h"
+#include "support/Hashing.h"
+#include "workload/Generator.h"
+#include "workload/Profiles.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace llvmmd;
 
@@ -214,6 +221,210 @@ TEST(BasicBlocks, PhiHelpers) {
   B.createRet(P2);
   EXPECT_EQ(*BJ->getFirstNonPhi(), BJ->getTerminator());
   EXPECT_EQ(BJ->phis().size(), 2u);
+}
+
+namespace {
+
+/// A block of five adds a0..a4 (each a chain on the previous) and a ret.
+struct ListFunc {
+  Context Ctx;
+  Module M{Ctx};
+  Function *F;
+  BasicBlock *BB;
+  std::vector<Instruction *> Adds;
+
+  ListFunc() {
+    Type *I32 = Ctx.getInt32Ty();
+    F = M.createFunction(Ctx.getFunctionTy(I32, {I32}), "f");
+    BB = F->createBlock("entry");
+    IRBuilder B(Ctx);
+    B.setInsertPoint(BB);
+    Value *V = F->getArg(0);
+    for (int I = 0; I < 5; ++I) {
+      V = B.createAdd(V, Ctx.getInt32(I), "a" + std::to_string(I));
+      Adds.push_back(cast<Instruction>(V));
+    }
+    B.createRet(V);
+  }
+
+  /// Instruction names front to back, then checked back to front through
+  /// the iterators and the neighbour links.
+  std::vector<std::string> order() const {
+    std::vector<std::string> Fwd, Bwd;
+    for (const Instruction *I : *BB)
+      Fwd.push_back(I->hasName() ? I->getName() : "ret");
+    for (auto It = BB->end(); It != BB->begin();) {
+      --It;
+      Bwd.insert(Bwd.begin(), (*It)->hasName() ? (*It)->getName() : "ret");
+    }
+    EXPECT_EQ(Fwd, Bwd);
+    EXPECT_EQ(Fwd.size(), BB->size());
+    for (const Instruction *I : *BB) {
+      if (I->getNextNode()) {
+        EXPECT_EQ(I->getNextNode()->getPrevNode(), I);
+      }
+      EXPECT_EQ(I->getParent(), BB);
+    }
+    EXPECT_EQ(BB->front()->getPrevNode(), nullptr);
+    EXPECT_EQ(BB->back()->getNextNode(), nullptr);
+    return Fwd;
+  }
+};
+
+using Names = std::vector<std::string>;
+
+} // namespace
+
+TEST(BasicBlocks, RemoveAtHeadMiddleAndTailKeepsOrder) {
+  ListFunc L;
+  EXPECT_EQ(L.order(), (Names{"a0", "a1", "a2", "a3", "a4", "ret"}));
+  L.BB->remove(L.Adds[0]); // head
+  EXPECT_EQ(L.order(), (Names{"a1", "a2", "a3", "a4", "ret"}));
+  L.BB->remove(L.Adds[2]); // middle
+  EXPECT_EQ(L.order(), (Names{"a1", "a3", "a4", "ret"}));
+  Instruction *Ret = L.BB->back();
+  L.BB->remove(Ret); // tail
+  EXPECT_EQ(L.order(), (Names{"a1", "a3", "a4"}));
+  EXPECT_EQ(L.BB->getTerminator(), nullptr);
+  // A removed instruction is unlinked and may be inserted again.
+  EXPECT_EQ(L.Adds[0]->getParent(), nullptr);
+  EXPECT_EQ(L.Adds[0]->getNextNode(), nullptr);
+  L.BB->append(Ret);
+  L.BB->insert(L.BB->begin(), L.Adds[0]);
+  L.BB->insert(BasicBlock::iterator(L.Adds[3], L.BB), L.Adds[2]);
+  EXPECT_EQ(L.order(), (Names{"a0", "a1", "a2", "a3", "a4", "ret"}));
+  EXPECT_EQ(L.BB->getTerminator(), Ret);
+  // Inserting before end() appends; decrementing end() reaches the tail.
+  auto Last = L.BB->end();
+  --Last;
+  EXPECT_EQ(*Last, Ret);
+  // Removing every instruction empties the block; appending them again
+  // restores it.
+  std::vector<Instruction *> All(L.BB->begin(), L.BB->end());
+  while (!L.BB->empty())
+    L.BB->remove(L.BB->front());
+  EXPECT_EQ(L.BB->size(), 0u);
+  EXPECT_EQ(L.BB->begin(), L.BB->end());
+  for (Instruction *I : All)
+    L.BB->append(I);
+  EXPECT_EQ(L.order(), (Names{"a0", "a1", "a2", "a3", "a4", "ret"}));
+  // Moving keeps an instruction's number.
+  unsigned N = L.Adds[1]->getNumber();
+  L.BB->remove(L.Adds[1]);
+  L.BB->insert(BasicBlock::iterator(L.Adds[0], L.BB), L.Adds[1]);
+  EXPECT_EQ(L.Adds[1]->getNumber(), N);
+}
+
+TEST(BasicBlocks, PhiViewStopsAtTheFirstNonPhiAndSurvivesErasure) {
+  Context Ctx;
+  Module M(Ctx);
+  Type *I32 = Ctx.getInt32Ty();
+  Function *F = M.createFunction(Ctx.getFunctionTy(I32, {I32}), "f");
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *J = F->createBlock("j");
+  IRBuilder B(Ctx);
+  B.setInsertPoint(A);
+  B.createBr(J);
+  B.setInsertPoint(J);
+  std::vector<PhiNode *> Made;
+  for (int I = 0; I < 3; ++I) {
+    PhiNode *P = B.createPhi(I32, "p" + std::to_string(I));
+    P->addIncoming(F->getArg(0), A);
+    Made.push_back(P);
+  }
+  B.createRet(F->getArg(0));
+  std::vector<PhiNode *> Seen(J->phis().begin(), J->phis().end());
+  EXPECT_EQ(Seen, Made);
+  // `*It++` steps before the body runs, so erasing the visited phi is safe.
+  PhiRange Phis = J->phis();
+  for (auto It = Phis.begin(); It != Phis.end();) {
+    PhiNode *P = *It++;
+    if (P != Made[2])
+      J->erase(P);
+  }
+  EXPECT_EQ(J->phis().size(), 1u);
+  EXPECT_EQ(*J->phis().begin(), Made[2]);
+  J->erase(Made[2]);
+  EXPECT_TRUE(J->phis().empty());
+  EXPECT_EQ(J->size(), 1u);
+}
+
+TEST(Numbering, UniqueWithinABodyAndResetByDropBody) {
+  Context Ctx;
+  BenchmarkProfile P = getProfile("hmmer");
+  P.FunctionCount = 4;
+  std::unique_ptr<Module> M = generateBenchmark(Ctx, P);
+  std::unique_ptr<Module> Opt = cloneModule(*M);
+  PassManager PM;
+  ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+  for (Function *F : Opt->definedFunctions()) {
+    // The optimizer erases instructions and blocks and creates others:
+    // numbers stay unique and below the bounds, and none is reused.
+    unsigned ValuesBefore = F->getMaxValueNumber();
+    PM.run(*F);
+    EXPECT_GE(F->getMaxValueNumber(), ValuesBefore);
+    std::set<unsigned> Values, Blocks;
+    for (unsigned I = 0; I < F->getNumArgs(); ++I) {
+      EXPECT_EQ(F->getArg(I)->getNumber(), I);
+      Values.insert(I);
+    }
+    for (const BasicBlock *BB : F->blocks()) {
+      EXPECT_LT(BB->getNumber(), F->getMaxBlockNumber());
+      EXPECT_TRUE(Blocks.insert(BB->getNumber()).second) << BB->getName();
+      for (const Instruction *I : *BB) {
+        EXPECT_LT(I->getNumber(), F->getMaxValueNumber());
+        EXPECT_TRUE(Values.insert(I->getNumber()).second) << I->getName();
+      }
+    }
+    // A fresh clone is numbered densely, in block order.
+    Function *G = Opt->createFunction(F->getFunctionType(),
+                                      F->getName() + ".copy");
+    cloneFunctionBody(*F, *G);
+    EXPECT_EQ(G->getMaxBlockNumber(), G->getNumBlocks());
+    EXPECT_EQ(G->getMaxValueNumber(),
+              G->getNumArgs() + G->getInstructionCount());
+    unsigned Next = G->getNumArgs(), NextBlock = 0;
+    for (const BasicBlock *BB : G->blocks()) {
+      EXPECT_EQ(BB->getNumber(), NextBlock++);
+      for (const Instruction *I : *BB)
+        EXPECT_EQ(I->getNumber(), Next++);
+    }
+    // dropBody restarts the numbering; arguments keep theirs.
+    G->dropBody();
+    EXPECT_EQ(G->getMaxBlockNumber(), 0u);
+    EXPECT_EQ(G->getMaxValueNumber(), G->getNumArgs());
+    cloneFunctionBody(*F, *G);
+    EXPECT_EQ(G->getMaxValueNumber(),
+              G->getNumArgs() + G->getInstructionCount());
+    EXPECT_EQ(G->getEntryBlock()->getNumber(), 0u);
+  }
+}
+
+TEST(Numbering, CloneOfAnOptimizedBodyFingerprintsLikeItsSource) {
+  // An optimized body's numbers have holes (erased instructions and
+  // blocks); its clone is numbered densely. Fingerprints number values in
+  // block order, so the two hash the same.
+  Context Ctx;
+  for (const char *Name : {"sqlite", "gcc", "sjeng"}) {
+    BenchmarkProfile P = getProfile(Name);
+    P.FunctionCount = 6;
+    std::unique_ptr<Module> M = generateBenchmark(Ctx, P);
+    std::unique_ptr<Module> Opt = cloneModule(*M);
+    PassManager PM;
+    ASSERT_TRUE(PM.parsePipeline(getPaperPipeline()));
+    unsigned WithHoles = 0;
+    for (Function *F : Opt->definedFunctions()) {
+      PM.run(*F);
+      WithHoles += F->getMaxValueNumber() >
+                   F->getNumArgs() + F->getInstructionCount();
+      Function *G = Opt->createFunction(F->getFunctionType(),
+                                        F->getName() + ".copy");
+      cloneFunctionBody(*F, *G);
+      EXPECT_EQ(fingerprintFunction(*G), fingerprintFunction(*F))
+          << F->getName();
+    }
+    EXPECT_GT(WithHoles, 0u) << Name;
+  }
 }
 
 TEST(Module, LookupAndGlobals) {
