@@ -119,14 +119,6 @@ public:
   /// and body instructions; see Value::getNumber().
   unsigned getMaxValueNumber() const { return NextValueNumber; }
 
-  /// Gives \p I the next value number unless it has one already (an
-  /// instruction moved within the body keeps its number). Called by
-  /// BasicBlock::insert.
-  void numberInstruction(Instruction *I) {
-    if (I->Number == NoNumber)
-      I->Number = NextValueNumber++;
-  }
-
   /// Unlinks \p BB and releases its instructions' operand uses. The block's
   /// storage stays in the body arena until dropBody. Instructions must
   /// already be use-free or only referenced from within the erased block
@@ -193,6 +185,15 @@ public:
   }
 
 private:
+  friend class BasicBlock; // numbers the instructions it links in
+
+  /// Gives \p I the next value number unless it has one already (an
+  /// instruction moved within the body keeps its number).
+  void numberInstruction(Instruction *I) {
+    if (I->Number == NoNumber)
+      I->Number = NextValueNumber++;
+  }
+
   FunctionType *FTy;
   Module *Parent = nullptr;
   std::vector<Argument *> Args;

@@ -69,12 +69,6 @@ public:
   /// analyses come from \p FA, which the pass invalidates when it changes
   /// the CFG (see FunctionAnalyses).
   virtual bool run(Function &F, FunctionAnalyses &FA) = 0;
-
-  /// Runs on \p F with analyses of its own.
-  bool run(Function &F) {
-    FunctionAnalyses FA(F);
-    return run(F, FA);
-  }
 };
 
 /// Creates a pass by its pipeline name; null for unknown names. Known:
