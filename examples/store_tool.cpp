@@ -23,8 +23,10 @@
 //       payload bytes and checksum health per shard, plus the index-level
 //       totals — the view that answers "is one module's shard hogging the
 //       file" and "which shard did the corruption hit". A v2 store reports
-//       its totals with a no-shards note. Exit 0 iff every file (and every
-//       shard) is healthy.
+//       its totals with a no-shards note. The store's journal (the
+//       checkpoints appended since the last full save) gets its own line:
+//       records, entries and bytes, plus any torn tail a load would
+//       ignore. Exit 0 iff every file (and every shard) is healthy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,6 +117,23 @@ int merge(const std::vector<std::string> &Inputs, const std::string &Out) {
   return 0;
 }
 
+/// The journal line of --stats (nothing when the store has no journal).
+void printJournal(const VerdictStore::HeaderInfo &HI) {
+  if (!HI.JournalBytes)
+    return;
+  std::printf("  journal: %llu record(s), verdicts %llu triage %llu "
+              "(%llu bytes)",
+              static_cast<unsigned long long>(HI.JournalRecords),
+              static_cast<unsigned long long>(HI.JournalVerdictEntries),
+              static_cast<unsigned long long>(HI.JournalTriageEntries),
+              static_cast<unsigned long long>(HI.JournalBytes));
+  if (HI.JournalValidBytes != HI.JournalBytes)
+    std::printf(", torn tail of %llu bytes ignored",
+                static_cast<unsigned long long>(HI.JournalBytes -
+                                                HI.JournalValidBytes));
+  std::printf("\n");
+}
+
 int stats(const std::vector<std::string> &Paths) {
   int Rc = 0;
   for (const std::string &P : Paths) {
@@ -129,6 +148,7 @@ int stats(const std::vector<std::string> &Paths) {
                   static_cast<unsigned long long>(HI.VerdictEntries),
                   static_cast<unsigned long long>(HI.TriageEntries),
                   static_cast<unsigned long long>(HI.FileBytes));
+      printJournal(HI);
       continue;
     }
     if (Shards.empty()) {
@@ -157,6 +177,7 @@ int stats(const std::vector<std::string> &Paths) {
       if (!SS.ChecksumOk)
         Rc = 1;
     }
+    printJournal(HI);
     if (HI.Status != VerdictStore::LoadStatus::Loaded)
       Rc = 1;
   }

@@ -28,6 +28,8 @@
 #              warm), restart the daemon on its checkpointed store and
 #              require a fully warm replay byte-identical to the batch
 #              path, then assert a clean shutdown with no leaked store lock
+#              or journal; finally kill -9 a daemon after two checkpoints
+#              and require its restart on the same store to replay warm
 #   --llvm     local reproduction of the CI llvm-ingest job: validate the
 #              frozen .ll fixture pair (clang -O0 vs opt output) through the
 #              batch, server, and fleet front doors and byte-compare the
@@ -157,15 +159,19 @@ if [ "$MODE" = warm ]; then
 fi
 
 if [ "$MODE" = serve ]; then
-  # The CI serve job, locally. Four invariants:
+  # The CI serve job, locally. Five invariants:
   #  1. A second client against a live daemon replays 100% of verdicts and
   #     triage results (validate_client --expect-warm exits 3 otherwise).
   #  2. A daemon *restarted* on its checkpointed store serves a fully warm
   #     replay whose suite JSON is byte-identical to batch_validate over
   #     the same store — the serving layer adds no bytes and loses none.
   #  3. The daemon exits 0 on a client Shutdown frame (graceful drain).
-  #  4. No leaked store lock or temp files: after shutdown the advisory
-  #     lock is free and no write-temp files remain.
+  #  4. No leaked store lock, temp or journal files: after shutdown the
+  #     advisory lock is free, no write-temp files remain, and the final
+  #     checkpoint compacted `<store>.journal` into the store file.
+  #  5. A daemon killed with SIGKILL after its checkpoints loses nothing
+  #     they held: checkpoints append to the journal, and a daemon
+  #     restarted on the same store replays it 100% warm.
   cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target validate_server validate_client batch_validate
@@ -226,8 +232,40 @@ if [ "$MODE" = serve ]; then
     echo "leaked verdict-store temp file" >&2
     exit 1
   fi
+
+  # Crash leg, on a store of its own: the first job's checkpoint writes the
+  # store file, the second's appends to the journal. Once /stats shows
+  # both, kill -9 the daemon; its successor must replay both jobs warm.
+  STORE="$DIR/crash.vstore"
+  start_daemon
+  run_client --suite sqlite,hmmer --quiet
+  run_client --suite sjeng --quiet
+  for _ in $(seq 1 100); do
+    "$BUILD_DIR/validate_client" --connect "$SOCK" --stats --quiet \
+      | grep -Eq '"checkpoints": ([2-9]|[1-9][0-9]+)' && break
+    sleep 0.1
+  done
+  if [ ! -s "$STORE.journal" ]; then
+    echo "no checkpoint was appended to the journal" >&2
+    exit 1
+  fi
+  kill -9 "$DAEMON"
+  wait "$DAEMON" 2> /dev/null || true
+  DAEMON=""
+  start_daemon
+  run_client --suite sqlite,hmmer --quiet --expect-warm
+  run_client --suite sjeng --quiet --expect-warm
+  run_client --shutdown --quiet
+  wait "$DAEMON"
+  DAEMON=""
+
+  # Every graceful shutdown compacts: no journal survives one.
+  if ls "$DIR"/*.journal > /dev/null 2>&1; then
+    echo "a graceful shutdown left a verdict-store journal behind" >&2
+    exit 1
+  fi
   echo "check.sh (serve): OK — warm replay over the wire, byte-identical" \
-    "to the batch path, clean shutdown"
+    "to the batch path, clean shutdown, warm restart after kill -9"
   exit 0
 fi
 

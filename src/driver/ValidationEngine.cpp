@@ -222,6 +222,8 @@ void ValidationEngine::clearCache() {
   TriageCache.clear();
   Stats.Entries = 0;
   CacheDirty = false;
+  UnsavedVerdicts.clear();
+  UnsavedTriage.clear();
 }
 
 uint64_t ValidationEngine::storeConfigDigest() const {
@@ -286,7 +288,60 @@ bool ValidationEngine::saveCache(std::string *Error) {
   Stats.StoreSaved = Written;
   Stats.StoreSaveMicroseconds += Timer.elapsedUs();
   CacheDirty = false;
+  UnsavedVerdicts.clear();
+  UnsavedTriage.clear();
   return true;
+}
+
+bool ValidationEngine::checkpointCache(std::string *Error) {
+  VerdictStore::AppendStatus Status;
+  std::string LocalError;
+  {
+    PhaseTimer Timer;
+    TraceSpan Span("store_append", "store", Cfg.CachePath);
+    VerdictMap Out;
+    Out.reserve(UnsavedVerdicts.size());
+    for (const CacheKey &K : UnsavedVerdicts)
+      Out.emplace(K, Cache.at(K).Result);
+    TriageMap TriageOut;
+    TriageOut.reserve(UnsavedTriage.size());
+    for (const CacheKey &K : UnsavedTriage)
+      TriageOut.emplace(K, TriageCache.at(K).Stored);
+    Status = VerdictStore::append(Cfg.CachePath, storeConfigDigest(), Out,
+                                  &TriageOut, Journal,
+                                  Error ? Error : &LocalError);
+    Stats.StoreSaveMicroseconds += Timer.elapsedUs();
+  }
+  if (Status == VerdictStore::AppendStatus::Appended ||
+      Status == VerdictStore::AppendStatus::Compacted) {
+    CacheDirty = false;
+    UnsavedVerdicts.clear();
+    UnsavedTriage.clear();
+    return true;
+  }
+  if (Status == VerdictStore::AppendStatus::Failed)
+    logWarn("engine", "verdict journal not appended, saving in full: " +
+                          (Error ? *Error : LocalError));
+  return saveCache(Error);
+}
+
+bool ValidationEngine::compactCache(std::string *Error) {
+  if (!checkpointCache(Error))
+    return false;
+  std::string LocalError;
+  bool Compacted;
+  {
+    PhaseTimer Timer;
+    TraceSpan Span("store_compact", "store", Cfg.CachePath);
+    Compacted = VerdictStore::compact(Cfg.CachePath, storeConfigDigest(),
+                                      Error ? Error : &LocalError);
+    Stats.StoreSaveMicroseconds += Timer.elapsedUs();
+  }
+  if (Compacted)
+    return true;
+  logWarn("engine", "verdict journal not compacted, saving in full: " +
+                        (Error ? *Error : LocalError));
+  return saveCache(Error);
 }
 
 std::vector<std::pair<unsigned, size_t>> ValidationEngine::resolveTriageCache(
@@ -335,6 +390,8 @@ void ValidationEngine::memoizeTriage(
                  hashCombine(Digests[Mi], OptionDigests[Mi])};
     TriageCache[Key] =
         CachedTriage{StoredTriage{OptionDigests[Mi], E.Triage}, false};
+    if (!Cfg.CachePath.empty())
+      UnsavedTriage.push_back(Key);
   }
   CacheDirty |= !Tasks.empty();
 }
@@ -406,7 +463,9 @@ void ValidationEngine::executeBatch(
 
   if (Cfg.UseCache) {
     for (const PairJob &Job : B.Jobs)
-      Cache.emplace(Job.Key, CachedVerdict{Job.Result, false});
+      if (Cache.emplace(Job.Key, CachedVerdict{Job.Result, false}).second &&
+          !Cfg.CachePath.empty())
+        UnsavedVerdicts.push_back(Job.Key);
     Stats.Entries = Cache.size();
     CacheDirty |= !B.Jobs.empty();
   }

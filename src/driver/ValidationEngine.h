@@ -205,9 +205,24 @@ public:
   VerdictStore::LoadResult loadCache();
 
   /// Atomically saves the verdict cache to Cfg.CachePath, merging the
-  /// current on-disk contents. Called automatically after every run that
-  /// memoized new verdicts (when CachePath is set and CacheSave is on).
+  /// current on-disk contents (journal included, which the save deletes).
+  /// Called automatically after every run that memoized new verdicts (when
+  /// CachePath is set and CacheSave is on).
   bool saveCache(std::string *Error = nullptr);
+
+  /// Checkpoints only what was memoized since the last save: one record
+  /// appended to the store's journal, O(new entries) — or, when the store
+  /// compacts (a bad journal tail, or the journal outgrowing the store
+  /// file), folded into a rewritten store file from disk. Falls back to
+  /// saveCache() when no loadable store exists yet.
+  bool checkpointCache(std::string *Error = nullptr);
+
+  /// checkpointCache(), then folds the journal into the store file from
+  /// disk (VerdictStore::compact) — everything the cache holds is in the
+  /// store or its journal by then, so the cache is not copied. Leaves one
+  /// store file, the same bytes saveCache() would write. Falls back to
+  /// saveCache() if the store file no longer loads.
+  bool compactCache(std::string *Error = nullptr);
 
 private:
   /// Verdict cache keys are shared with the persistent store: both
@@ -316,6 +331,11 @@ private:
   /// gates save-on-report so replay-only runs don't rewrite an unchanged
   /// store.
   bool CacheDirty = false;
+  /// Keys memoized since the last save (recorded only with a CachePath):
+  /// what checkpointCache appends.
+  std::vector<CacheKey> UnsavedVerdicts;
+  std::vector<CacheKey> UnsavedTriage;
+  VerdictStore::JournalCursor Journal;
 };
 
 } // namespace llvmmd

@@ -50,6 +50,21 @@
 //                reduced orig, reduced opt, gap node a, gap node b,
 //                missing rule
 //
+// Journal (`<store>.journal`), a sequence of records appended by
+// VerdictStore::append between full saves:
+//
+//   record   u64 magic           "LMDVJRN\x01"
+//            u64 config digest   records under another digest are skipped
+//            u64 verdict count, u64 triage count
+//            u64 payload bytes
+//            u64 payload hash    FNV-1a over the payload
+//            payload             verdict entries, then triage entries, each
+//                                sorted by key, encoded as in a shard
+//
+// Replay walks the records in order and stops at the first one that is
+// short, has a bad magic or fails its hash: a crash mid-append costs that
+// record only. Every save() deletes the journal after its rename.
+//
 // v2 (still read, rewritten as v3 on the next save) was one flat payload:
 // the same header magic/version, then u32 reserved, u64 config digest,
 // u64 entry count, u64 payload hash, the verdict entries, a u64 triage
@@ -72,6 +87,7 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -98,6 +114,12 @@ constexpr uint32_t LegacyVersion2 = 2;
 // index hash.
 constexpr size_t HeaderSizeV3 = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 constexpr size_t IndexRecordSize = 8 + 8 + 8 + 8 + 8;
+constexpr uint64_t JournalMagic = 0x014e524a56444d4cULL; // "LMDVJRN\x01" LE
+// magic + digest + verdict count + triage count + payload bytes + hash.
+constexpr size_t JournalHeaderSize = 6 * 8;
+// The smallest encoded entry (a verdict with an empty reason; a triage
+// entry is larger); bounds the counts a record header may claim.
+constexpr uint64_t MinEntryBytes = 3 * 8 + 1 + 6 * 8 + 4;
 
 size_t alignToPage(size_t N) {
   return (N + VerdictStore::PageBytes - 1) & ~(VerdictStore::PageBytes - 1);
@@ -120,6 +142,27 @@ uint32_t shardCountFor(size_t Entries) {
 uint32_t shardFor(uint64_t Config, uint32_t ShardCount) {
   return static_cast<uint32_t>(hashCombine(0x9e3779b97f4a7c15ULL, Config) &
                                (ShardCount - 1));
+}
+
+bool keyLess(const VerdictKey &KA, const VerdictKey &KB) {
+  if (KA.FpA != KB.FpA)
+    return KA.FpA < KB.FpA;
+  if (KA.FpB != KB.FpB)
+    return KA.FpB < KB.FpB;
+  return KA.Config < KB.Config;
+}
+
+/// The entries of \p M in key order (hash-table order is not stable).
+template <typename MapT>
+std::vector<const typename MapT::value_type *> sortedEntries(const MapT &M) {
+  std::vector<const typename MapT::value_type *> Out;
+  Out.reserve(M.size());
+  for (const auto &KV : M)
+    Out.push_back(&KV);
+  std::sort(Out.begin(), Out.end(), [](const auto *A, const auto *B) {
+    return keyLess(A->first, B->first);
+  });
+  return Out;
 }
 
 enum ResultFlags : uint8_t {
@@ -561,23 +604,138 @@ private:
   int Fd = -1;
 };
 
+/// What a walk over journal records found.
+struct JournalScan {
+  uint64_t ValidBytes = 0; ///< end of the last whole, checksummed record
+  uint64_t Records = 0;    ///< records under the wanted digest
+  uint64_t VerdictEntries = 0;
+  uint64_t TriageEntries = 0;
+};
+
+/// Walks the journal records in \p Data until the first short, foreign or
+/// checksum-failing one. Records under \p Digest are counted and, when
+/// \p V is non-null, replayed into \p V / \p T (a later record wins per
+/// key); records under another digest are skipped.
+JournalScan scanJournal(const char *Data, size_t Size, uint64_t Digest,
+                        VerdictMap *V, TriageMap *T) {
+  JournalScan S;
+  size_t Cur = 0;
+  while (Size - Cur >= JournalHeaderSize) {
+    uint64_t Magic = 0, RecDigest = 0, VerdictCount = 0, TriageCount = 0,
+             Bytes = 0, Hash = 0;
+    readU64LE(Data, Size, Cur, Magic);
+    readU64LE(Data, Size, Cur, RecDigest);
+    readU64LE(Data, Size, Cur, VerdictCount);
+    readU64LE(Data, Size, Cur, TriageCount);
+    readU64LE(Data, Size, Cur, Bytes);
+    readU64LE(Data, Size, Cur, Hash);
+    if (Magic != JournalMagic || Bytes > Size - Cur ||
+        VerdictCount > Bytes / MinEntryBytes ||
+        TriageCount > Bytes / MinEntryBytes ||
+        hashBytes(Data + Cur, Bytes) != Hash)
+      break;
+    if (RecDigest == Digest) {
+      if (V) {
+        VerdictMap RecV;
+        TriageMap RecT;
+        if (!parseShardPayload(Data + Cur, Bytes, VerdictCount, TriageCount,
+                               RecV, RecT))
+          break;
+        for (auto &KV : RecV)
+          V->insert_or_assign(KV.first, std::move(KV.second));
+        for (auto &KV : RecT)
+          T->insert_or_assign(KV.first, std::move(KV.second));
+      }
+      ++S.Records;
+      S.VerdictEntries += VerdictCount;
+      S.TriageEntries += TriageCount;
+    }
+    Cur += Bytes;
+    S.ValidBytes = Cur;
+  }
+  return S;
+}
+
+/// One journal record holding \p Map and \p Triage, entries sorted by key.
+std::string encodeJournalRecord(uint64_t ConfigDigest, const VerdictMap &Map,
+                                const TriageMap *Triage) {
+  std::string Payload;
+  Payload.reserve(Map.size() * 80);
+  for (const auto *KV : sortedEntries(Map))
+    appendEntry(Payload, KV->first, KV->second);
+  size_t TriageCount = 0;
+  if (Triage) {
+    for (const auto *KV : sortedEntries(*Triage))
+      appendTriageEntry(Payload, KV->first, KV->second);
+    TriageCount = Triage->size();
+  }
+  std::string Out;
+  Out.reserve(JournalHeaderSize + Payload.size());
+  appendU64LE(Out, JournalMagic);
+  appendU64LE(Out, ConfigDigest);
+  appendU64LE(Out, static_cast<uint64_t>(Map.size()));
+  appendU64LE(Out, static_cast<uint64_t>(TriageCount));
+  appendU64LE(Out, static_cast<uint64_t>(Payload.size()));
+  appendU64LE(Out, hashBytes(Payload.data(), Payload.size()));
+  Out += Payload;
+  return Out;
+}
+
+/// Reads the whole journal of the store at \p StorePath (plain reads: it
+/// may be appended to meanwhile, and a half-read record is just a torn
+/// tail to the scan). False when there is no journal.
+bool readJournal(const std::string &StorePath, std::string &Out) {
+  std::ifstream In(VerdictStore::journalPath(StorePath), std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  Out = SS.str();
+  return true;
+}
+
+/// Fills \p HI's journal fields from `<path>.journal`, counting the records
+/// under the store's digest (checksums verified, entries not parsed).
+void peekJournal(const std::string &Path, VerdictStore::HeaderInfo &HI) {
+  std::string Journal;
+  if (!readJournal(Path, Journal))
+    return;
+  JournalScan S = scanJournal(Journal.data(), Journal.size(), HI.ConfigDigest,
+                              nullptr, nullptr);
+  HI.JournalRecords = S.Records;
+  HI.JournalVerdictEntries = S.VerdictEntries;
+  HI.JournalTriageEntries = S.TriageEntries;
+  HI.JournalBytes = Journal.size();
+  HI.JournalValidBytes = S.ValidBytes;
+}
+
+#ifndef _WIN32
+/// Identity of one version of a file: a rename-over or a rewrite changes
+/// it, an untouched file keeps it.
+uint64_t fileStamp(const struct stat &St) {
+  uint64_t H = hashCombine(static_cast<uint64_t>(St.st_dev),
+                           static_cast<uint64_t>(St.st_ino));
+  H = hashCombine(H, static_cast<uint64_t>(St.st_size));
+  H = hashCombine(H, static_cast<uint64_t>(St.st_mtim.tv_sec));
+  return hashCombine(H, static_cast<uint64_t>(St.st_mtim.tv_nsec));
+}
+#endif
+
 } // namespace
 
-std::string VerdictStore::serialize(uint64_t ConfigDigest,
-                                    const VerdictMap &Map,
-                                    const TriageMap *Triage) {
+namespace {
+
+/// Emits the v3 bytes of \p Map (+ \p Triage) through \p Sink, holding one
+/// shard payload at a time: Sink.append(Data, Size) extends the output —
+/// first with a zeroed region where the header and index go — and
+/// Sink.patchHead(Head) finally writes them over that region.
+template <typename SinkT>
+void emitStore(SinkT &Sink, uint64_t ConfigDigest, const VerdictMap &Map,
+               const TriageMap *Triage) {
   // Deterministic bytes: shard count derives from the entry count, entries
   // sort by key within their shard, offsets follow the canonical packing —
   // the same maps always serialize identically regardless of hash-table
   // iteration order, so stores diff cleanly and CI cache keys are stable.
-  auto KeyLess = [](const VerdictKey &KA, const VerdictKey &KB) {
-    if (KA.FpA != KB.FpA)
-      return KA.FpA < KB.FpA;
-    if (KA.FpB != KB.FpB)
-      return KA.FpB < KB.FpB;
-    return KA.Config < KB.Config;
-  };
-
   size_t TriageSize = Triage ? Triage->size() : 0;
   uint32_t ShardCount = shardCountFor(Map.size() + TriageSize);
 
@@ -590,57 +748,76 @@ std::string VerdictStore::serialize(uint64_t ConfigDigest,
     for (const auto &KV : *Triage)
       TriageEntries[shardFor(KV.first.Config, ShardCount)].push_back(&KV);
 
-  std::vector<std::string> Payloads(ShardCount);
+  static const char Zeros[VerdictStore::PageBytes] = {};
+  uint64_t At = 0;
+  auto PadTo = [&](uint64_t Offset) {
+    while (At < Offset) {
+      size_t N = std::min<uint64_t>(Offset - At, VerdictStore::PageBytes);
+      Sink.append(Zeros, N);
+      At += N;
+    }
+  };
+  PadTo(alignToPage(HeaderSizeV3 + ShardCount * IndexRecordSize));
+
   std::vector<ShardRecord> Index(ShardCount);
+  std::string P;
   for (uint32_t S = 0; S < ShardCount; ++S) {
     auto ByKey = [&](const auto *A, const auto *B) {
-      return KeyLess(A->first, B->first);
+      return keyLess(A->first, B->first);
     };
     std::sort(Entries[S].begin(), Entries[S].end(), ByKey);
     std::sort(TriageEntries[S].begin(), TriageEntries[S].end(), ByKey);
-    std::string &P = Payloads[S];
-    P.reserve(Entries[S].size() * 80);
+    P.clear();
     for (const auto *KV : Entries[S])
       appendEntry(P, KV->first, KV->second);
     for (const auto *KV : TriageEntries[S])
       appendTriageEntry(P, KV->first, KV->second);
-    Index[S].Bytes = P.size();
-    Index[S].VerdictCount = Entries[S].size();
-    Index[S].TriageCount = TriageEntries[S].size();
-    Index[S].PayloadHash = hashBytes(P.data(), P.size());
-  }
-
-  size_t Offset = alignToPage(HeaderSizeV3 + ShardCount * IndexRecordSize);
-  for (uint32_t S = 0; S < ShardCount; ++S) {
-    Index[S].Offset = Offset;
-    Offset = alignToPage(Offset + Index[S].Bytes);
+    PadTo(alignToPage(At)); // zero padding up to the shard boundary
+    ShardRecord &R = Index[S];
+    R.Offset = At;
+    R.Bytes = P.size();
+    R.VerdictCount = Entries[S].size();
+    R.TriageCount = TriageEntries[S].size();
+    R.PayloadHash = hashBytes(P.data(), P.size());
+    Sink.append(P.data(), P.size());
+    At += P.size();
   }
 
   std::string IndexBytes;
   IndexBytes.reserve(ShardCount * IndexRecordSize);
-  for (const ShardRecord &S : Index) {
-    appendU64LE(IndexBytes, S.Offset);
-    appendU64LE(IndexBytes, S.Bytes);
-    appendU64LE(IndexBytes, S.VerdictCount);
-    appendU64LE(IndexBytes, S.TriageCount);
-    appendU64LE(IndexBytes, S.PayloadHash);
+  for (const ShardRecord &R : Index) {
+    appendU64LE(IndexBytes, R.Offset);
+    appendU64LE(IndexBytes, R.Bytes);
+    appendU64LE(IndexBytes, R.VerdictCount);
+    appendU64LE(IndexBytes, R.TriageCount);
+    appendU64LE(IndexBytes, R.PayloadHash);
   }
+  std::string Head;
+  appendU64LE(Head, StoreMagic);
+  appendU32LE(Head, VerdictStore::FormatVersion);
+  appendU32LE(Head, ShardCount);
+  appendU64LE(Head, ConfigDigest);
+  appendU64LE(Head, static_cast<uint64_t>(Map.size()));
+  appendU64LE(Head, static_cast<uint64_t>(TriageSize));
+  appendU64LE(Head, hashBytes(IndexBytes.data(), IndexBytes.size()));
+  Head += IndexBytes;
+  Sink.patchHead(Head);
+}
 
-  std::string Out;
-  Out.reserve(Index.back().Offset + Index.back().Bytes);
-  appendU64LE(Out, StoreMagic);
-  appendU32LE(Out, FormatVersion);
-  appendU32LE(Out, ShardCount);
-  appendU64LE(Out, ConfigDigest);
-  appendU64LE(Out, static_cast<uint64_t>(Map.size()));
-  appendU64LE(Out, static_cast<uint64_t>(TriageSize));
-  appendU64LE(Out, hashBytes(IndexBytes.data(), IndexBytes.size()));
-  Out += IndexBytes;
-  for (uint32_t S = 0; S < ShardCount; ++S) {
-    Out.resize(Index[S].Offset); // zero padding up to the shard boundary
-    Out += Payloads[S];
-  }
-  return Out;
+} // namespace
+
+std::string VerdictStore::serialize(uint64_t ConfigDigest,
+                                    const VerdictMap &Map,
+                                    const TriageMap *Triage) {
+  struct StringSink {
+    std::string Out;
+    void append(const char *Data, size_t Size) { Out.append(Data, Size); }
+    void patchHead(const std::string &Head) {
+      std::copy(Head.begin(), Head.end(), Out.begin());
+    }
+  } Sink;
+  emitStore(Sink, ConfigDigest, Map, Triage);
+  return std::move(Sink.Out);
 }
 
 VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
@@ -648,6 +825,11 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
                                             VerdictMap &Map,
                                             TriageMap *Triage) {
   LoadResult LR;
+  // The journal is read before the store file: a save that lands between
+  // the two reads has already folded this journal into the store file
+  // read second, so the replay below is redundant, never a gap.
+  std::string Journal;
+  bool HaveJournal = readJournal(Path, Journal);
   FileBuffer Buf;
   if (!Buf.open(Path)) {
     LR.Status = LoadStatus::NoFile;
@@ -660,6 +842,7 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
                                   LR.Message);
   if (LR.Status != LoadStatus::Loaded)
     return LR;
+  // append() only ever extends v3 files, so a v2 store has no journal.
   if (Version == LegacyVersion2)
     return loadV2(Buf.data(), Buf.size(), ConfigDigest, Map, Triage);
 
@@ -674,10 +857,18 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
   }
   LR.EntriesInFile = Idx.VerdictTotal;
 
-  // Parse every shard into scratch maps first so a malformed one cannot
-  // leave Map half-merged.
+  // Parse into scratch maps first so a malformed shard cannot leave Map
+  // half-merged. The journal's records go in first and its bytes are
+  // freed before any shard page is touched; the shards then fill in behind
+  // them (a key both hold keeps the journal's, newer, value).
   VerdictMap Parsed;
   TriageMap ParsedTriage;
+  if (HaveJournal) {
+    LR.JournalRecords = scanJournal(Journal.data(), Journal.size(),
+                                    ConfigDigest, &Parsed, &ParsedTriage)
+                            .Records;
+    std::string().swap(Journal);
+  }
   for (size_t S = 0; S < Idx.Shards.size(); ++S) {
     const ShardRecord &R = Idx.Shards[S];
     const char *P = Buf.data() + R.Offset;
@@ -694,12 +885,13 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
     }
   }
 
-  for (auto &KV : Parsed)
-    if (Map.emplace(KV.first, std::move(KV.second)).second)
-      ++LR.EntriesMerged;
+  // Splice the parsed nodes over (no copy, no second allocation); keys the
+  // maps already hold stay behind in the scratch maps.
+  size_t Before = Map.size();
+  Map.merge(Parsed);
+  LR.EntriesMerged = Map.size() - Before;
   if (Triage)
-    for (auto &KV : ParsedTriage)
-      Triage->emplace(KV.first, std::move(KV.second));
+    Triage->merge(ParsedTriage);
   LR.Status = LoadStatus::Loaded;
   return LR;
 }
@@ -707,6 +899,10 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
 std::string VerdictStore::shardPath(const std::string &BasePath,
                                     unsigned Index) {
   return BasePath + ".shard" + std::to_string(Index);
+}
+
+std::string VerdictStore::journalPath(const std::string &Path) {
+  return Path + ".journal";
 }
 
 VerdictStore::HeaderInfo VerdictStore::peekHeader(const std::string &Path) {
@@ -747,6 +943,7 @@ VerdictStore::HeaderInfo VerdictStore::peekHeader(const std::string &Path) {
     HI.VerdictEntries = LR.EntriesInFile;
     HI.TriageEntries = ScratchTriage.size();
     HI.Status = LoadStatus::Loaded;
+    peekJournal(Path, HI);
     return HI;
   }
 
@@ -770,6 +967,7 @@ VerdictStore::HeaderInfo VerdictStore::peekHeader(const std::string &Path) {
   HI.VerdictEntries = Idx.VerdictTotal;
   HI.TriageEntries = Idx.TriageTotal;
   HI.Status = LoadStatus::Loaded;
+  peekJournal(Path, HI);
   return HI;
 }
 
@@ -815,6 +1013,7 @@ VerdictStore::peekShards(const std::string &Path, HeaderInfo *Info) {
   HI.ConfigDigest = Idx.ConfigDigest;
   HI.VerdictEntries = Idx.VerdictTotal;
   HI.TriageEntries = Idx.TriageTotal;
+  peekJournal(Path, HI);
 
   Out.reserve(Idx.Shards.size());
   for (const ShardRecord &R : Idx.Shards) {
@@ -837,68 +1036,35 @@ VerdictStore::peekShards(const std::string &Path, HeaderInfo *Info) {
   return Out;
 }
 
-uint64_t VerdictStore::mergePaths(const std::vector<std::string> &Inputs,
-                                  const std::string &OutPath,
-                                  uint64_t ConfigDigest, std::string *Error) {
-  VerdictMap Merged;
-  TriageMap MergedTriage;
-  for (const std::string &Path : Inputs) {
-    // emplace in load() keeps the existing value per key, so earlier
-    // inputs win — document order is precedence order.
-    LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
-    if (LR.Status == LoadStatus::NoFile)
-      continue; // a worker that never saved is an empty shard, not an error
-    if (!LR.loaded()) {
-      if (Error)
-        *Error = "'" + Path + "': " + LR.Message;
-      return ~0ull;
-    }
-  }
-  return save(OutPath, ConfigDigest, Merged, Error, /*MergeExisting=*/true,
-              &MergedTriage);
-}
+namespace {
 
-uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
-                            const VerdictMap &Map, std::string *Error,
-                            bool MergeExisting, const TriageMap *Triage) {
-  SaveLock Lock(Path);
-  const VerdictMap *ToWrite = &Map;
-  const TriageMap *TriageToWrite = Triage;
-  VerdictMap Merged;
-  TriageMap MergedTriage;
-  if (MergeExisting) {
-    // Union with whatever another shard already saved here. Start from the
-    // in-memory maps so the current process wins per key; a store that
-    // fails to load (any reason) contributes nothing.
-    Merged = Map;
-    if (Triage)
-      MergedTriage = *Triage;
-    VerdictMap OnDisk;
-    TriageMap OnDiskTriage;
-    if (load(Path, ConfigDigest, OnDisk, &OnDiskTriage).loaded()) {
-      for (auto &KV : OnDisk)
-        Merged.emplace(KV.first, std::move(KV.second));
-      for (auto &KV : OnDiskTriage)
-        MergedTriage.emplace(KV.first, std::move(KV.second));
-    }
-    ToWrite = &Merged;
-    // Preserve another shard's triage entries even when this engine ran
-    // with triage off (Triage == nullptr): dropping them on save would
-    // silently cool future warm runs.
-    TriageToWrite = &MergedTriage;
-  }
-
-  std::string Bytes = serialize(ConfigDigest, *ToWrite, TriageToWrite);
-
+/// Writes \p Map (+ \p Triage) as the store at \p Path: a sibling temp
+/// file renamed over the target, then the journal it supersedes deleted.
+/// The caller holds the path's SaveLock. Returns the verdict entries
+/// written, or ~0ull with \p Error set.
+uint64_t writeStoreLocked(const std::string &Path, uint64_t ConfigDigest,
+                          const VerdictMap &Map, const TriageMap *Triage,
+                          std::string *Error) {
 #ifndef _WIN32
   std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
 #else
   std::string Tmp = Path + ".tmp";
 #endif
   {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out || !Out.write(Bytes.data(), static_cast<std::streamsize>(
-                                             Bytes.size()))) {
+    // Streamed: the file is never held in memory whole.
+    struct FileSink {
+      std::ofstream OS;
+      void append(const char *Data, size_t Size) {
+        OS.write(Data, static_cast<std::streamsize>(Size));
+      }
+      void patchHead(const std::string &Head) {
+        OS.seekp(0);
+        OS.write(Head.data(), static_cast<std::streamsize>(Head.size()));
+      }
+    } Sink{std::ofstream(Tmp, std::ios::binary | std::ios::trunc)};
+    if (Sink.OS)
+      emitStore(Sink, ConfigDigest, Map, Triage);
+    if (!Sink.OS.flush()) {
       if (Error)
         *Error = "cannot write '" + Tmp + "'";
       std::remove(Tmp.c_str());
@@ -917,7 +1083,191 @@ uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
       return ~0ull;
     }
   }
-  return static_cast<uint64_t>(ToWrite->size());
+  // The new file holds everything the journal did (the callers merge it
+  // in first) or is meant to replace it outright; a crash before this
+  // line leaves a journal whose replay is redundant, never wrong.
+  std::remove(VerdictStore::journalPath(Path).c_str());
+  return static_cast<uint64_t>(Map.size());
+}
+
+} // namespace
+
+uint64_t VerdictStore::mergePaths(const std::vector<std::string> &Inputs,
+                                  const std::string &OutPath,
+                                  uint64_t ConfigDigest, std::string *Error) {
+  VerdictMap Merged;
+  TriageMap MergedTriage;
+  for (const std::string &Path : Inputs) {
+    // load() keeps the existing value per key, so earlier inputs win —
+    // document order is precedence order.
+    LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
+    if (LR.Status == LoadStatus::NoFile)
+      continue; // a worker that never saved is an empty shard, not an error
+    if (!LR.loaded()) {
+      if (Error)
+        *Error = "'" + Path + "': " + LR.Message;
+      return ~0ull;
+    }
+  }
+  // The output's own entries fill in behind the inputs, exactly as
+  // merge-on-save would, without copying the union once more.
+  SaveLock Lock(OutPath);
+  load(OutPath, ConfigDigest, Merged, &MergedTriage);
+  return writeStoreLocked(OutPath, ConfigDigest, Merged, &MergedTriage,
+                          Error);
+}
+
+uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
+                            const VerdictMap &Map, std::string *Error,
+                            bool MergeExisting, const TriageMap *Triage) {
+  SaveLock Lock(Path);
+  if (!MergeExisting)
+    return writeStoreLocked(Path, ConfigDigest, Map, Triage, Error);
+  // Union with whatever another shard already saved here, journal
+  // included. Start from the in-memory maps so the current process wins
+  // per key; a store that fails to load (any reason) contributes nothing.
+  // Another shard's triage entries are kept even when this engine ran
+  // with triage off (Triage == nullptr): dropping them on save would
+  // silently cool future warm runs.
+  VerdictMap Merged = Map;
+  TriageMap MergedTriage;
+  if (Triage)
+    MergedTriage = *Triage;
+  load(Path, ConfigDigest, Merged, &MergedTriage);
+  return writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage, Error);
+}
+
+bool VerdictStore::compact(const std::string &Path, uint64_t ConfigDigest,
+                           std::string *Error) {
+  SaveLock Lock(Path);
+  if (!std::ifstream(journalPath(Path)))
+    return true;
+  VerdictMap Merged;
+  TriageMap MergedTriage;
+  LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
+  if (!LR.loaded()) {
+    if (Error)
+      *Error = "'" + Path + "': " + LR.Message;
+    return false;
+  }
+  return writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage,
+                          Error) != ~0ull;
+}
+
+VerdictStore::AppendStatus
+VerdictStore::append(const std::string &Path, uint64_t ConfigDigest,
+                     const VerdictMap &Map, const TriageMap *Triage,
+                     JournalCursor &Cursor, std::string *Error) {
+#ifndef _WIN32
+  if (Map.empty() && (!Triage || Triage->empty()))
+    return AppendStatus::Appended;
+  std::string Record = encodeJournalRecord(ConfigDigest, Map, Triage);
+  SaveLock Lock(Path);
+
+  // Only a loadable store under this digest makes the journal replayable.
+  // Verified once per store version and digest: an unchanged stamp means
+  // the file this cursor checked (a save rewrites it, and the stamp moves).
+  struct stat StoreSt;
+  if (::stat(Path.c_str(), &StoreSt) != 0)
+    return AppendStatus::NeedsSave;
+  uint64_t StoreStamp = hashCombine(fileStamp(StoreSt), ConfigDigest);
+  if (StoreStamp != Cursor.StoreStamp) {
+    HeaderInfo HI = peekHeader(Path);
+    if (!HI.ok() || HI.Version != FormatVersion ||
+        HI.ConfigDigest != ConfigDigest)
+      return AppendStatus::NeedsSave;
+    // A new store version means a save ran, and every save deletes the
+    // journal: whatever journal exists now is verified from its start.
+    Cursor = JournalCursor();
+    Cursor.StoreStamp = StoreStamp;
+    Cursor.StoreBytes = static_cast<uint64_t>(StoreSt.st_size);
+  }
+
+  std::string JPath = journalPath(Path);
+  int Fd = ::open(JPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  struct stat JSt;
+  if (Fd < 0 || ::fstat(Fd, &JSt) != 0) {
+    if (Fd >= 0)
+      ::close(Fd);
+    if (Error)
+      *Error = "cannot open '" + JPath + "'";
+    return AppendStatus::Failed;
+  }
+  uint64_t JStamp = hashCombine(static_cast<uint64_t>(JSt.st_dev),
+                                static_cast<uint64_t>(JSt.st_ino));
+  uint64_t End = static_cast<uint64_t>(JSt.st_size);
+  // Verify what this cursor has not seen (other appenders' records, or a
+  // torn tail a crash left): appending after a bad record would put the
+  // new record beyond the replay's reach.
+  uint64_t From = JStamp == Cursor.JournalStamp && End >= Cursor.JournalBytes
+                      ? Cursor.JournalBytes
+                      : 0;
+  std::string Unseen(End - From, '\0');
+  size_t Got = 0;
+  while (Got < Unseen.size()) {
+    ssize_t N = ::pread(Fd, &Unseen[Got], Unseen.size() - Got,
+                        static_cast<off_t>(From + Got));
+    if (N <= 0)
+      break;
+    Got += static_cast<size_t>(N);
+  }
+  bool Appendable =
+      Got == Unseen.size() &&
+      scanJournal(Unseen.data(), Unseen.size(), ConfigDigest, nullptr,
+                  nullptr)
+              .ValidBytes == Unseen.size();
+  // Compaction rule: the journal never grows larger than the store file,
+  // so replay stays cheap and the rewrites stay geometric. A bad record
+  // compacts too: an append after it would never be replayed.
+  if (!Appendable || End + Record.size() > Cursor.StoreBytes) {
+    ::close(Fd);
+    VerdictMap Merged = Map;
+    TriageMap MergedTriage;
+    if (Triage)
+      MergedTriage = *Triage;
+    if (!load(Path, ConfigDigest, Merged, &MergedTriage).loaded())
+      return AppendStatus::NeedsSave;
+    if (writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage, Error) ==
+        ~0ull)
+      return AppendStatus::Failed;
+    // This writer knows the new file is loadable: no need to verify it on
+    // the next append.
+    Cursor = JournalCursor();
+    if (::stat(Path.c_str(), &StoreSt) == 0) {
+      Cursor.StoreStamp = hashCombine(fileStamp(StoreSt), ConfigDigest);
+      Cursor.StoreBytes = static_cast<uint64_t>(StoreSt.st_size);
+    }
+    return AppendStatus::Compacted;
+  }
+
+  size_t Put = 0;
+  while (Put < Record.size()) {
+    ssize_t N = ::pwrite(Fd, Record.data() + Put, Record.size() - Put,
+                         static_cast<off_t>(End + Put));
+    if (N <= 0)
+      break;
+    Put += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  if (Put != Record.size()) {
+    // Left as a torn tail rather than truncated (a concurrent reader may
+    // hold those bytes); the next append sees it and asks for a save.
+    if (Error)
+      *Error = "cannot write '" + JPath + "'";
+    return AppendStatus::Failed;
+  }
+  Cursor.JournalStamp = JStamp;
+  Cursor.JournalBytes = End + Record.size();
+  return AppendStatus::Appended;
+#else
+  (void)Path;
+  (void)ConfigDigest;
+  (void)Map;
+  (void)Triage;
+  (void)Cursor;
+  (void)Error;
+  return AppendStatus::NeedsSave;
+#endif
 }
 
 //===----------------------------------------------------------------------===//

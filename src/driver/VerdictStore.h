@@ -35,6 +35,17 @@
 ///    materializes shards lazily on first lookup: probing a store for one
 ///    module's verdicts touches the index page plus that module's shard
 ///    pages, not the whole file.
+///  * a checkpoint need not rewrite the store: append() writes only the
+///    entries new since the last save as one record of `<path>.journal`
+///    (same entry encoding, same digest gate, its own payload hash), under
+///    the same lock. load() replays the journal after the store file, so
+///    every reader — restarts, mergePaths, the fleet's shard merge — sees
+///    it. A crash mid-append leaves a torn tail that ends the replay: only
+///    that record is lost. Every save() and compact() folds the journal
+///    into one store file and deletes it. append() compacts by itself when
+///    the journal's tail is bad or the journal would grow larger than the
+///    store file, so the total write work stays linear in the entries
+///    written; with no loadable store file it asks for a full save.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,6 +135,7 @@ public:
     LoadStatus Status = LoadStatus::NoFile;
     uint64_t EntriesInFile = 0; ///< entries the file claims to hold
     uint64_t EntriesMerged = 0; ///< entries actually added to the map
+    uint64_t JournalRecords = 0; ///< journal records replayed after the file
     std::string Message;        ///< human-readable detail on rejection
     bool loaded() const { return Status == LoadStatus::Loaded; }
   };
@@ -132,21 +144,71 @@ public:
   /// when \p Triage is non-null, its triage section into \p *Triage). Keys
   /// already present keep their in-memory value (the current process has
   /// fresher information). On any rejection both maps are left untouched.
+  /// Once a v3 store file loads, the records of `<path>.journal` under the
+  /// same digest are replayed on top of it (a later record wins per key);
+  /// the replay stops at the first torn or corrupt record, and records
+  /// under another digest are skipped. (append() never extends a v2 file.)
   static LoadResult load(const std::string &Path, uint64_t ConfigDigest,
                          VerdictMap &Map, TriageMap *Triage = nullptr);
 
   /// Atomically replaces the store at \p Path with \p Map: serialize to a
   /// sibling temp file, then rename over the target. When \p MergeExisting
-  /// (the default), a loadable on-disk store with the same digest is folded
-  /// in first — in-memory entries win per key — so two engines saving to
-  /// the same path union their verdicts instead of clobbering. \p Triage,
-  /// when non-null, is written (and merged) the same way. Returns the
-  /// number of verdict entries written, or ~0ull on I/O failure (with
+  /// (the default), a loadable on-disk store with the same digest — its
+  /// journal included — is folded in first (in-memory entries win per key),
+  /// so two engines saving to the same path union their verdicts instead
+  /// of clobbering. \p Triage, when non-null, is written (and merged) the
+  /// same way. The journal is deleted after the rename either way. Returns
+  /// the number of verdict entries written, or ~0ull on I/O failure (with
   /// \p Error set).
   static uint64_t save(const std::string &Path, uint64_t ConfigDigest,
                        const VerdictMap &Map, std::string *Error = nullptr,
                        bool MergeExisting = true,
                        const TriageMap *Triage = nullptr);
+
+  /// The journal next to the store at \p Path: `<path>.journal`.
+  static std::string journalPath(const std::string &Path);
+
+  /// What one appender remembers between appends so that an append costs
+  /// O(entries appended): the identity of the store file it last verified
+  /// loadable, and how much of the journal (by identity) it has verified.
+  /// Anything else — a store rewritten or a journal appended by another
+  /// process — is re-verified under the lock. Start from a default value.
+  struct JournalCursor {
+    uint64_t StoreStamp = 0;
+    uint64_t StoreBytes = 0;
+    uint64_t JournalStamp = 0;
+    uint64_t JournalBytes = 0;
+  };
+
+  enum class AppendStatus : uint8_t {
+    Appended, ///< one record landed at the end of the journal
+    /// The journal ended in a bad record (an append after it would never
+    /// be replayed) or would have grown larger than the store file: the
+    /// store file, the journal's good records and the new entries were
+    /// folded into a rewritten store file, and the journal is gone.
+    Compacted,
+    /// Nothing was written: no v3 store file under \p ConfigDigest loads,
+    /// so the caller must save() everything it holds.
+    NeedsSave,
+    Failed, ///< I/O failure (Error set)
+  };
+
+  /// Appends \p Map and \p Triage (the entries new since the last save) as
+  /// one journal record, entries sorted by key, under the save lock; or
+  /// compacts instead (see AppendStatus). Either way the cost is O(new
+  /// entries) except for the compactions, whose sizes grow geometrically.
+  static AppendStatus append(const std::string &Path, uint64_t ConfigDigest,
+                             const VerdictMap &Map, const TriageMap *Triage,
+                             JournalCursor &Cursor,
+                             std::string *Error = nullptr);
+
+  /// Folds `<path>.journal` into the store file under the save lock; true
+  /// right away when there is no journal. False (with \p Error, files left
+  /// as they were) when the store file does not load under
+  /// \p ConfigDigest or the write fails. Works from the files alone, so a
+  /// caller whose entries are all checkpointed need not copy them.
+  static bool compact(const std::string &Path, uint64_t ConfigDigest,
+                      std::string *Error = nullptr);
 
   /// Serializes \p Map (+ optional triage section) to the store byte format
   /// (header included). Exposed for tests that need to corrupt specific
@@ -169,6 +231,16 @@ public:
     uint64_t VerdictEntries = 0;
     uint64_t TriageEntries = 0;
     uint64_t FileBytes = 0;
+    /// The journal as load() would replay it: whole records under the
+    /// store's digest and the entries they carry (a key may be counted
+    /// again if a later record or the store file holds it too). A torn or
+    /// corrupt tail is JournalBytes - JournalValidBytes bytes that load()
+    /// ignores; it does not make the store Corrupt.
+    uint64_t JournalRecords = 0;
+    uint64_t JournalVerdictEntries = 0;
+    uint64_t JournalTriageEntries = 0;
+    uint64_t JournalBytes = 0; ///< journal file size (0 when absent)
+    uint64_t JournalValidBytes = 0;
     std::string Message;
     bool ok() const { return Status == LoadStatus::Loaded; }
   };
@@ -178,7 +250,9 @@ public:
   /// Corrupt on rejection, Loaded when the header and checksums hold. For a
   /// v3 store the entry counts come straight from the index — no entry is
   /// parsed — but every shard checksum is still verified: inspection stays
-  /// honest about damage.
+  /// honest about damage. The journal fields describe `<path>.journal`
+  /// (record checksums verified, entries not parsed) whenever the store
+  /// file itself checks out.
   static HeaderInfo peekHeader(const std::string &Path);
 
   /// One v3 shard's slot in the index, for occupancy inspection
@@ -199,7 +273,8 @@ public:
   /// Corrupt, but every shard's index record is still returned — exactly
   /// what "which shard is hurt, how much is lost" needs. A v2 store (no
   /// shards) or an unreadable header yields an empty vector with \p Info
-  /// carrying the peekHeader-style status.
+  /// carrying the peekHeader-style status. \p Info's journal fields are
+  /// filled as in peekHeader, so a live store's occupancy is complete.
   static std::vector<ShardStats> peekShards(const std::string &Path,
                                             HeaderInfo *Info = nullptr);
 
@@ -224,6 +299,11 @@ public:
 /// checksum fails materializes as empty (lookups miss; the caller re-proves
 /// — wrong answers are impossible, only wasted work). v2 stores are served
 /// through the same interface by materializing the flat payload eagerly.
+///
+/// The journal is NOT replayed: only the store file is mapped, so an entry
+/// that so far lives only in `<path>.journal` is a miss here (re-proved,
+/// never a wrong verdict). Benchmarks and tests are the only users; a
+/// reader that must see every checkpointed verdict uses load().
 ///
 /// Not thread-safe: confine one instance to one thread.
 class MappedVerdictStore {

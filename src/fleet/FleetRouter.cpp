@@ -247,12 +247,12 @@ std::string FleetRouter::buildRollup() const {
   // dial, so a worker mid-respawn is simply reported down and the
   // roll-up stays useful while the monitor restarts it.
   std::vector<uint64_t> Targets(Cfg.Workers, 0);
-  for (unsigned W = 0; W < Cfg.Workers && WM; ++W) {
-    WorkerLink &L = *Links[W];
-    std::lock_guard<std::mutex> LG(L.Lock);
-    Targets[W] = ++L.ScrapeSeq;
-    L.CV.notify_all();
+  {
+    std::lock_guard<std::mutex> G(DispatchLock);
+    for (unsigned W = 0; W < Cfg.Workers && WM; ++W)
+      Targets[W] = ++Links[W]->ScrapeSeq;
   }
+  DispatchCV.notify_all();
   const auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
 
@@ -265,9 +265,9 @@ std::string FleetRouter::buildRollup() const {
     std::string Text, Err;
     bool Ok = false, Answered = false;
     {
-      std::unique_lock<std::mutex> LG(L.Lock);
-      Answered = L.CV.wait_until(
-          LG, Deadline, [&] { return L.ScrapeDoneSeq >= Targets[W]; });
+      std::unique_lock<std::mutex> G(DispatchLock);
+      Answered = DispatchCV.wait_until(
+          G, Deadline, [&] { return L.ScrapeDoneSeq >= Targets[W]; });
       if (Answered && L.ScrapeOk) {
         Ok = true;
         Text = L.ScrapeText;
@@ -490,8 +490,12 @@ bool FleetRouter::start(std::string *Error) {
 
 void FleetRouter::requestStop() {
   requestStopFromSignal();
-  for (const auto &L : Links)
-    L->CV.notify_all();
+  {
+    // Taking the lock orders the flag store before any dispatcher's next
+    // predicate check, so the notify below cannot be missed.
+    std::lock_guard<std::mutex> G(DispatchLock);
+  }
+  DispatchCV.notify_all();
   LifeCV.notify_all();
 }
 
@@ -786,58 +790,87 @@ bool FleetRouter::handleFrame(const std::shared_ptr<Connection> &C,
 //===----------------------------------------------------------------------===//
 
 void FleetRouter::enqueue(const JobTable::JobPtr &J) {
-  WorkerLink &L = *Links[J->WorkerIndex];
   uint64_t Depth = ++QueuedJobs;
   {
-    std::lock_guard<std::mutex> G(L.Lock);
-    L.Queue.push_back(J);
+    std::lock_guard<std::mutex> G(DispatchLock);
+    Queue.push_back({J, J->WorkerIndex});
   }
-  L.CV.notify_all();
+  // Every dispatcher re-checks: the preferred one takes it if free, an
+  // idle one if the preferred worker is busy.
+  DispatchCV.notify_all();
   std::lock_guard<std::mutex> G(StatsLock);
   if (Depth > Counters.MaxQueueDepth)
     Counters.MaxQueueDepth = Depth;
+}
+
+bool FleetRouter::takeJobLocked(unsigned W, JobTable::JobPtr &Out) {
+  auto Pick = Queue.end();
+  for (auto It = Queue.begin(); It != Queue.end(); ++It) {
+    if (It->Worker == W) {
+      Pick = It;
+      break;
+    }
+    const WorkerLink &Owner = *Links[It->Worker];
+    if (Pick == Queue.end() && (Owner.Busy || Owner.Exited))
+      Pick = It;
+  }
+  if (Pick == Queue.end())
+    return false;
+  Out = std::move(Pick->J);
+  Queue.erase(Pick);
+  return true;
+}
+
+void FleetRouter::markIdle(unsigned W) {
+  std::lock_guard<std::mutex> G(DispatchLock);
+  Links[W]->Busy = false;
 }
 
 void FleetRouter::dispatcherLoop(unsigned W) {
   WorkerLink &L = *Links[W];
   for (;;) {
     JobTable::JobPtr J;
+    bool Scrape = false;
     {
-      std::unique_lock<std::mutex> G(L.Lock);
+      std::unique_lock<std::mutex> G(DispatchLock);
       // Bounded wait: the signal-safe stop path stores flags without a
-      // notify.
-      while (!L.CV.wait_for(G, std::chrono::milliseconds(200), [&] {
-        return DrainAndExit.load() || !L.Queue.empty() ||
-               L.ScrapeDoneSeq < L.ScrapeSeq;
-      }))
-        ;
-      if (L.ScrapeDoneSeq < L.ScrapeSeq) {
-        // A scrape is waiting on the persistent link; it is quick, so it
-        // goes first, and the loop re-checks for a job right after.
-        G.unlock();
-        serviceScrape(W);
-        continue;
-      }
-      if (L.Queue.empty()) {
-        if (DrainAndExit)
+      // notify. A drain ends once the whole queue is empty, so no job is
+      // left behind for a dispatcher that already exited.
+      for (;;) {
+        // A scrape waiting on the persistent link is quick, so it goes
+        // first, and the loop re-checks for a job right after.
+        Scrape = L.ScrapeDoneSeq < L.ScrapeSeq;
+        if (Scrape || takeJobLocked(W, J) ||
+            (DrainAndExit.load() && Queue.empty()))
           break;
-        continue;
+        DispatchCV.wait_for(G, std::chrono::milliseconds(200));
       }
-      J = L.Queue.front();
-      L.Queue.pop_front();
+      if (J) {
+        L.Busy = true;
+        // Jobs still queued for this worker may now go to an idle one.
+        if (!Queue.empty())
+          DispatchCV.notify_all();
+      }
     }
+    if (Scrape) {
+      serviceScrape(W);
+      continue;
+    }
+    if (!J)
+      break;
     --QueuedJobs;
     runJobOnWorker(W, J);
   }
   // A roll-up racing the drain must not wait out its deadline on a
   // dispatcher that will never answer.
   {
-    std::lock_guard<std::mutex> G(L.Lock);
+    std::lock_guard<std::mutex> G(DispatchLock);
+    L.Exited = true;
     L.ScrapeDoneSeq = L.ScrapeSeq;
     L.ScrapeOk = false;
     L.ScrapeText.clear();
   }
-  L.CV.notify_all();
+  DispatchCV.notify_all();
   L.Client.reset();
 }
 
@@ -845,7 +878,7 @@ void FleetRouter::serviceScrape(unsigned W) {
   WorkerLink &L = *Links[W];
   uint64_t Target;
   {
-    std::lock_guard<std::mutex> G(L.Lock);
+    std::lock_guard<std::mutex> G(DispatchLock);
     if (L.ScrapeDoneSeq >= L.ScrapeSeq)
       return;
     Target = L.ScrapeSeq;
@@ -862,12 +895,12 @@ void FleetRouter::serviceScrape(unsigned W) {
       L.Client.reset(); // poisoned link; the next job redials
   }
   {
-    std::lock_guard<std::mutex> G(L.Lock);
+    std::lock_guard<std::mutex> G(DispatchLock);
     L.ScrapeDoneSeq = Target;
     L.ScrapeOk = Ok;
     L.ScrapeText = std::move(Text);
   }
-  L.CV.notify_all();
+  DispatchCV.notify_all();
 }
 
 bool FleetRouter::ensureWorkerLink(unsigned W, std::string *Error) {
@@ -935,11 +968,13 @@ void FleetRouter::runJobOnWorker(unsigned W, const JobTable::JobPtr &J) {
                          "worker " + std::to_string(W) + " job " +
                              std::to_string(J->Id));
 
-  // Worker-lost epilogue: requeue at the front of this worker's queue (the
-  // restarted worker picks it straight back up) until the attempt budget
-  // is spent; then the job fails to its subscribers with WorkerLost.
+  // Worker-lost epilogue: requeue at the front of the queue, preferring
+  // this worker (the restarted worker picks it straight back up), until
+  // the attempt budget is spent; then the job fails to its subscribers
+  // with WorkerLost.
   auto Lost = [&](const std::string &Why) {
     L.Client.reset();
+    markIdle(W);
     if (Table->requeueOrFail(J)) {
       bumpCounter(&FleetCounters::JobsRequeued);
       logWarn("fleet", "worker " + std::to_string(W) + " lost (" + Why +
@@ -950,11 +985,8 @@ void FleetRouter::runJobOnWorker(unsigned W, const JobTable::JobPtr &J) {
                                    traceNowUs(), 0,
                                    "worker " + std::to_string(W));
       ++QueuedJobs;
-      {
-        std::lock_guard<std::mutex> G(L.Lock);
-        L.Queue.push_front(J);
-      }
-      L.CV.notify_all();
+      std::lock_guard<std::mutex> G(DispatchLock);
+      Queue.push_front({J, W});
     } else {
       bumpCounter(&FleetCounters::JobsFailed);
       logError("fleet", "worker " + std::to_string(W) + " lost (" + Why +
@@ -993,6 +1025,7 @@ void FleetRouter::runJobOnWorker(unsigned W, const JobTable::JobPtr &J) {
       // The worker ships its spans home on JobDone; merging them here is
       // what turns a fleet job into one flame across pids. A bad blob
       // only costs the worker's spans, never the job.
+      markIdle(W);
       if (D.TraceId && !D.TraceBlob.empty() && traceEnabled()) {
         std::string IngestErr;
         if (!traceIngestEvents(D.TraceBlob, &IngestErr))
@@ -1012,6 +1045,7 @@ void FleetRouter::runJobOnWorker(unsigned W, const JobTable::JobPtr &J) {
         E.Code = ErrorCode::Protocol;
         E.Message = "undecodable worker error";
       }
+      markIdle(W);
       Table->fail(J, E.Code, E.Message);
       bumpCounter(&FleetCounters::JobsErrored);
       return;

@@ -25,16 +25,22 @@
 ///   * a JobTable deduplicating identical concurrent submissions onto one
 ///     engine run and letting Subscribe join a running job mid-flight
 ///     (bounded replay buffer, then the live tail);
-///   * one dispatcher thread per worker owning that worker's connection
-///     and its FIFO queue. Jobs stick to a worker by submission key, so a
-///     repeated suite returns to the shard that already holds its
-///     verdicts. A worker crash (`kill -9`) costs exactly the jobs in
-///     flight on it: the dispatcher reconnects to the restarted worker
-///     (generation-checked via WorkerHello) and requeues, skipping frames
-///     already fanned out — determinism makes the re-run byte-identical —
-///     until the per-job attempt budget is spent, at which point the job
-///     fails with a WorkerLost error. The fleet itself never goes down
-///     with a worker.
+///   * one dispatcher thread per worker owning that worker's connection,
+///     all fed from one FIFO queue. Jobs prefer a worker by submission
+///     key, so a repeated suite returns to the shard that already holds
+///     its verdicts: a dispatcher takes its own worker's oldest job first.
+///     When it has none, it takes the oldest job queued for a worker that
+///     is busy (or gone) rather than sit idle beside a backlog — sound
+///     because verdicts are deterministic and every shard starts from the
+///     same seeded base, so only warmth, never bytes, depends on the
+///     worker. A job whose preferred worker is free waits for it.
+///     A worker crash (`kill -9`) costs exactly the jobs in flight on it:
+///     the dispatcher reconnects to the restarted worker (generation-
+///     checked via WorkerHello) and requeues, skipping frames already
+///     fanned out — determinism makes the re-run byte-identical — until
+///     the per-job attempt budget is spent, at which point the job fails
+///     with a WorkerLost error. The fleet itself never goes down with a
+///     worker.
 ///
 /// Store lifecycle is the WorkerManager's: shards seeded from the merged
 /// base at start, checkpointed by the workers while serving, merged back
@@ -194,24 +200,36 @@ private:
     bool Handshaken = false;
   };
 
-  /// One worker's dispatch state: the FIFO of jobs routed to it and the
-  /// dispatcher's cached connection (dispatcher-thread only).
+  /// One worker's dispatch state: the dispatcher's cached connection
+  /// (dispatcher-thread only), and under DispatchLock whether its worker
+  /// can take a job now.
   struct WorkerLink {
-    std::mutex Lock;
-    std::condition_variable CV;
-    std::deque<JobTable::JobPtr> Queue;
     std::unique_ptr<ServerClient> Client;
     uint64_t ConnectedGen = 0;
+    /// The worker is running a job: set when the dispatcher takes one,
+    /// cleared as soon as the worker's answer is over (before the job's
+    /// subscribers hear the end). Jobs queued for a busy worker may go to
+    /// an idle one. Guarded by DispatchLock.
+    bool Busy = false;
+    /// The dispatcher has exited (drain): its jobs may go to anyone.
+    bool Exited = false;
     /// Scrape-request slot: the roll-up sweep bumps ScrapeSeq and the
     /// dispatcher — the only thread allowed to touch Client — answers
     /// between jobs, setting ScrapeDoneSeq/ScrapeOk/ScrapeText and
-    /// notifying CV. A dispatcher that is mid-job simply doesn't answer
-    /// before the requester's deadline, which then falls back to a fresh
-    /// dial. Guarded by Lock.
+    /// notifying DispatchCV. A dispatcher that is mid-job simply doesn't
+    /// answer before the requester's deadline, which then falls back to a
+    /// fresh dial. Guarded by DispatchLock.
     uint64_t ScrapeSeq = 0;
     uint64_t ScrapeDoneSeq = 0;
     bool ScrapeOk = false;
     std::string ScrapeText;
+  };
+
+  /// A queued dispatch and the worker it prefers: the job's sticky worker,
+  /// or for a requeue the worker that lost it (restarted by now).
+  struct QueuedJob {
+    JobTable::JobPtr J;
+    unsigned Worker = 0;
   };
 
   bool listenOn(int Fd, const std::string &What, std::string *Error);
@@ -229,6 +247,12 @@ private:
   void runJobOnWorker(unsigned W, const JobTable::JobPtr &J);
   bool ensureWorkerLink(unsigned W, std::string *Error);
   void enqueue(const JobTable::JobPtr &J);
+  /// DispatchLock held: moves the job dispatcher \p W should run next into
+  /// \p Out — its own worker's oldest, else the oldest queued for a busy
+  /// or exited worker. False when there is none.
+  bool takeJobLocked(unsigned W, JobTable::JobPtr &Out);
+  /// The worker's answer to its current job is over.
+  void markIdle(unsigned W);
   bool sendFrame(Connection &C, FrameType T, const std::string &Payload);
   void sendError(Connection &C, ErrorCode Code, const std::string &Msg);
   void bumpCounter(uint64_t FleetCounters::*Field, uint64_t Delta = 1);
@@ -237,6 +261,11 @@ private:
   std::unique_ptr<JobTable> Table;
   std::unique_ptr<WorkerManager> WM;
   std::vector<std::unique_ptr<WorkerLink>> Links;
+  /// Guards Queue and every link's Busy/Exited/scrape fields; DispatchCV
+  /// wakes dispatchers (work, scrape requests, stop) and scrape waiters.
+  mutable std::mutex DispatchLock;
+  mutable std::condition_variable DispatchCV;
+  std::deque<QueuedJob> Queue;
   /// The /metrics + /healthz sidecar (HttpMetrics config); null when off.
   std::unique_ptr<class HttpServer> Http;
 

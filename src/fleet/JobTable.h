@@ -82,9 +82,10 @@ public:
     uint64_t Id = 0;
     uint64_t Key = 0;
     SubmitPayload Req;
-    /// Sticky assignment (set once at creation from the affinity map):
-    /// requeues return to the same — restarted — worker, and a repeat of
-    /// the same key lands where its verdicts are already warm.
+    /// Sticky preference (set once at creation from the affinity map): a
+    /// repeat of the same key goes back to where its verdicts are already
+    /// warm, unless that worker is busy while another one idles (the
+    /// router's dispatch rule).
     unsigned WorkerIndex = 0;
 
     // Everything below is guarded by StreamLock.

@@ -111,10 +111,14 @@ void WorkerManager::seedShards() {
   // Every worker starts from the full fleet history: with cold shards a
   // restarted fleet would only be warm for keys that happen to land on the
   // worker that proved them last time.
+  // A replaced shard's old journal goes with it: the merge above already
+  // replayed it into the base.
   Base = VerdictStore::peekHeader(Cfg.StoreBase);
   if (Base.ok() && Base.ConfigDigest == Cfg.ConfigDigest)
-    for (unsigned I = 0; I < Cfg.Workers; ++I)
+    for (unsigned I = 0; I < Cfg.Workers; ++I) {
       copyFile(Cfg.StoreBase, shardPath(I));
+      std::remove(VerdictStore::journalPath(shardPath(I)).c_str());
+    }
 }
 
 void WorkerManager::mergeShards() {

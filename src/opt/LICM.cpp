@@ -44,11 +44,11 @@ public:
     for (Loop *L : LI.getLoopsInnermostFirst())
       Changed |= processLoop(F, *L, AA);
     // A new preheader is a new block (and LoopInfo was patched for it):
-    // the CFG analyses describe an older function now. The pass reports a
-    // change only when it hoisted something, as it always has.
+    // the CFG analyses describe an older function now, and the function
+    // changed even if nothing was hoisted into it.
     if (CreatedPreheader)
       FA.invalidateCFG();
-    return Changed;
+    return Changed || CreatedPreheader;
   }
 
 private:

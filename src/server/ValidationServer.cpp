@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #ifndef _WIN32
@@ -699,14 +700,25 @@ bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
 // The executor: one thread, one engine
 //===----------------------------------------------------------------------===//
 
-void ValidationServer::checkpoint() {
-  // Dirty-gated: a drained daemon serving pure replays must not rewrite an
-  // unchanged store once per cadence interval.
-  if (Cfg.Engine.CachePath.empty() || !Engine->cacheDirty())
+void ValidationServer::checkpoint(bool Final) {
+  if (Cfg.Engine.CachePath.empty())
+    return;
+  // The shutdown checkpoint compacts: a journal left behind (by this run's
+  // appends or a crashed predecessor's) is folded into one store file even
+  // when the cache is clean.
+  bool Compact =
+      Final &&
+      std::ifstream(VerdictStore::journalPath(Cfg.Engine.CachePath)).good();
+  // Dirty-gated otherwise: a drained daemon serving pure replays must not
+  // touch an unchanged store once per cadence interval.
+  if (!Engine->cacheDirty() && !Compact)
     return;
   auto Start = std::chrono::steady_clock::now();
   TraceSpan Span("checkpoint", "store");
-  Engine->saveCache();
+  if (Final)
+    Engine->compactCache();
+  else
+    Engine->checkpointCache();
   serverMetrics().CheckpointUs.observe(elapsedMicroseconds(Start));
   std::lock_guard<std::mutex> G(StatsLock);
   ++Counters.Checkpoints;
@@ -775,14 +787,14 @@ void ValidationServer::executorLoop() {
     ++SinceCheckpoint;
     if (Cfg.CheckpointEveryJobs &&
         SinceCheckpoint >= Cfg.CheckpointEveryJobs) {
-      checkpoint();
+      checkpoint(/*Final=*/false);
       SinceCheckpoint = 0;
     }
   }
   // Shutdown checkpoint: whatever the cadence left unsaved survives the
-  // restart. The SaveLock inside the store is released with the process,
-  // so a clean exit leaks no lock.
-  checkpoint();
+  // restart, as one compacted store file. The SaveLock inside the store is
+  // released with the process, so a clean exit leaks no lock.
+  checkpoint(/*Final=*/true);
 }
 
 const Module *

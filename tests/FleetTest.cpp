@@ -12,7 +12,9 @@
 //  * a `kill -9`'d worker costs exactly the jobs in flight on it — each is
 //    requeued once onto the restarted worker (or failed with WorkerLost
 //    once the attempt budget is spent), and the fleet itself keeps serving;
-//  * a fleet restarted on its merged store replays 100% warm.
+//  * a fleet restarted on its merged store replays 100% warm;
+//  * a job queued for a busy worker runs on an idle one, while a repeat
+//    still returns to its sticky worker whenever that worker is free.
 //
 // The JobTable's bookkeeping (replay buffers, truncation, requeue frame
 // skipping, attempt budgets, sticky affinity) is unit-tested directly — no
@@ -41,6 +43,8 @@
 #include <thread>
 
 #ifndef _WIN32
+#include <csignal>
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
@@ -63,11 +67,13 @@ public:
     std::remove(Sock.c_str());
     std::remove(Store.c_str());
     std::remove((Store + ".lock").c_str());
+    std::remove(VerdictStore::journalPath(Store).c_str());
     for (unsigned I = 0; I < 8; ++I) {
       std::remove((Sock + ".w" + std::to_string(I)).c_str());
       std::string Shard = VerdictStore::shardPath(Store, I);
       std::remove(Shard.c_str());
       std::remove((Shard + ".lock").c_str());
+      std::remove(VerdictStore::journalPath(Shard).c_str());
     }
   }
 
@@ -407,6 +413,88 @@ TEST(FleetTest, KilledWorkerJobRequeuedAndCompleted) {
   EXPECT_TRUE(eventually([&] {
     return Router.workerRestarts() + Router.counters().JobsRequeued >= 1;
   }));
+  Router.stop();
+}
+
+namespace {
+
+/// Jobs worker \p W has completed, asked over a fresh connection to the
+/// worker's own socket (~0 when it does not answer).
+uint64_t workerJobsCompleted(FleetRouter &Router, unsigned W) {
+  ServerClient C;
+  std::string Json;
+  if (!attach(C, Router.workers()->socketPath(W)) || !C.stats(&Json))
+    return ~0ull;
+  const std::string Field = "\"completed\": ";
+  size_t At = Json.find(Field);
+  return At == std::string::npos
+             ? ~0ull
+             : std::strtoull(Json.c_str() + At + Field.size(), nullptr, 10);
+}
+
+} // namespace
+
+TEST(FleetTest, IdleWorkerTakesJobQueuedBehindBusyOne) {
+  FleetDir D("steal");
+  FleetConfig FC = smallFleetConfig(D, 2);
+  FC.HealthPing = false; // the frozen worker below must stay, not be killed
+  FleetRouter Router(std::move(FC));
+  std::string Error;
+  ASSERT_TRUE(Router.start(&Error)) << Error;
+  SubmitPayload X = profileSubmission("hmmer", 6);
+  SubmitPayload Y = profileSubmission("sjeng", 6);
+  SubmitPayload Big = profileSubmission("sqlite", 8);
+
+  // Sticky round-robin: X's key prefers worker 0, Y's worker 1.
+  ServerClient Client;
+  ASSERT_TRUE(attach(Client, D.Sock));
+  std::string Suite;
+  ASSERT_TRUE(runJob(Client, X, &Suite));
+  ASSERT_TRUE(runJob(Client, Y, &Suite));
+  ASSERT_TRUE(eventually([&] {
+    return workerJobsCompleted(Router, 0) == 1 &&
+           workerJobsCompleted(Router, 1) == 1;
+  }));
+  // A repeat goes back to its sticky worker while that worker is free.
+  ASSERT_TRUE(runJob(Client, X, &Suite));
+  EXPECT_TRUE(eventually([&] {
+    return workerJobsCompleted(Router, 0) == 2 &&
+           workerJobsCompleted(Router, 1) == 1;
+  }));
+
+  // Freeze worker 0 and hand it the next new key: its dispatcher is busy
+  // with a job the worker cannot answer until it is resumed.
+  pid_t Frozen = Router.workers()->pid(0);
+  ASSERT_GT(Frozen, 0);
+  ASSERT_EQ(::kill(Frozen, SIGSTOP), 0);
+  // Resumed on every exit path: a frozen worker would stall the stop.
+  struct Thaw {
+    pid_t P;
+    ~Thaw() { ::kill(P, SIGCONT); }
+  } Resume{Frozen};
+  ServerClient Blocked;
+  ASSERT_TRUE(attach(Blocked, D.Sock));
+  ASSERT_TRUE(Blocked.submit(Big));
+  ASSERT_TRUE(
+      eventually([&] { return Router.counters().JobsDispatched >= 4; }));
+
+  // X prefers worker 0, which is busy: the idle worker 1 runs it, and the
+  // report is byte-identical to the batch path. Bounded, so a regression
+  // fails instead of hanging behind the frozen worker.
+  timeval Tv{30, 0};
+  ::setsockopt(Client.fd(), SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+  std::string Stolen;
+  bool Ran = runJob(Client, X, &Stolen);
+  ::kill(Frozen, SIGCONT);
+  ASSERT_TRUE(Ran) << "the job waited behind the busy worker";
+  EXPECT_EQ(Stolen, batchSuiteJSON(X.Modules));
+  EXPECT_TRUE(eventually([&] { return workerJobsCompleted(Router, 1) == 2; }));
+
+  std::string BigSuite;
+  EXPECT_TRUE(drainJob(Blocked, &BigSuite, nullptr));
+  EXPECT_EQ(BigSuite, batchSuiteJSON(Big.Modules));
+  EXPECT_TRUE(eventually([&] { return workerJobsCompleted(Router, 0) == 3; }));
+  EXPECT_EQ(Router.counters().JobsCompleted, 5u);
   Router.stop();
 }
 

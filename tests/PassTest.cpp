@@ -8,6 +8,7 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "driver/ValidationEngine.h"
 #include "ir/Cloning.h"
 #include "ir/Interpreter.h"
 #include "opt/BugInjector.h"
@@ -496,6 +497,52 @@ x:
                          RtValue::makeInt(9)},
                         {RtValue::makeInt(0), RtValue::makeInt(2),
                          RtValue::makeInt(-1)}});
+}
+
+TEST(LICM, PreheaderAloneIsAChangeTheEngineValidates) {
+  // Two outside predecessors and nothing invariant: licm only inserts a
+  // preheader. That edit is a change like any other — reporting it is what
+  // makes the engine validate it rather than record the function as
+  // untransformed.
+  const char *Src = R"(
+define i32 @f(i1 %c, i32 %n) {
+entry:
+  br i1 %c, label %h, label %other
+other:
+  br label %h
+h:
+  %i = phi i32 [ 0, %entry ], [ 1, %other ], [ %i2, %b ]
+  %cc = icmp slt i32 %i, %n
+  br i1 %cc, label %b, label %x
+b:
+  %i2 = add i32 %i, 1
+  br label %h
+x:
+  ret i32 %i
+}
+)";
+  PassRun R(Src, "licm");
+  EXPECT_TRUE(R.Changed);
+  EXPECT_EQ(R.F->blocks().size(),
+            R.Orig->definedFunctions().front()->blocks().size() + 1);
+  R.expectSameBehavior({{RtValue::makeInt(1), RtValue::makeInt(3)},
+                        {RtValue::makeInt(0), RtValue::makeInt(3)},
+                        {RtValue::makeInt(0), RtValue::makeInt(-2)}});
+
+  Context Ctx;
+  ParseResult P = parseModule(Ctx, Src);
+  ASSERT_TRUE(static_cast<bool>(P)) << P.Error;
+  EngineConfig EC;
+  EC.Threads = 1;
+  ValidationEngine Engine(EC);
+  EngineRun Run = Engine.run(*P.M, "licm");
+  ASSERT_EQ(Run.Report.Functions.size(), 1u);
+  const FunctionReportEntry &E = Run.Report.Functions.front();
+  EXPECT_TRUE(E.Transformed);
+  EXPECT_FALSE(E.SkippedIdentical);
+  EXPECT_NE(E.FingerprintOpt, E.FingerprintOrig);
+  EXPECT_EQ(Engine.cacheStats().Misses, 1u) << "the pair was not validated";
+  EXPECT_TRUE(E.Validated) << E.Result.Reason;
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include "server/ValidationServer.h"
 
 #include "driver/Report.h"
+#include "driver/VerdictStore.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "opt/Pass.h"
@@ -32,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <netinet/in.h>
 #include <sstream>
 #include <sys/socket.h>
@@ -57,6 +59,7 @@ public:
     std::remove(Sock.c_str());
     std::remove(Store.c_str());
     std::remove((Store + ".lock").c_str());
+    std::remove(VerdictStore::journalPath(Store).c_str());
   }
   const std::string Sock, Store;
 };
@@ -495,6 +498,83 @@ TEST(ServerTest, RestartedServerReplaysVerdictsAndTriageWarm) {
     EC.CacheSave = false;
     EXPECT_EQ(WarmJson, batchSuiteJSON(EC, {M.get()}));
   }
+}
+
+TEST(ServerTest, JournalCopiedMidRunReplaysWarmAndStopCompactsIt) {
+  ServeDir D("journal"), Copy("journal-copy");
+  const std::string Journal = VerdictStore::journalPath(D.Store);
+  const std::string CopyJournal = VerdictStore::journalPath(Copy.Store);
+  std::remove(Journal.c_str());
+  std::remove(CopyJournal.c_str());
+  SubmitPayload First = sqliteSubmission(), Second;
+  {
+    SubmitModule M;
+    M.Source = SubmitProfile;
+    M.Name = "hmmer";
+    M.FnCount = 4;
+    Second.Modules.push_back(std::move(M));
+  }
+
+  ValidationServer Server(
+      smallServerConfig(D, 1, /*Triage=*/true, /*WithStore=*/true));
+  ASSERT_TRUE(Server.start());
+  ServerClient Client;
+  ASSERT_TRUE(attach(Client, D.Sock));
+  JobDonePayload Done;
+  // No store yet: the first checkpoint is a full save. The second job's
+  // new verdicts are appended to the journal.
+  ASSERT_TRUE(runJob(Client, First, nullptr, &Done));
+  ASSERT_TRUE(runJob(Client, Second, nullptr, &Done));
+  EXPECT_GT(Done.Misses, 0u);
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Server.counters().Checkpoints < 2 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(Server.counters().Checkpoints, 2u);
+  VerdictStore::HeaderInfo HI = VerdictStore::peekHeader(D.Store);
+  ASSERT_TRUE(HI.ok()) << HI.Message;
+  EXPECT_EQ(HI.JournalRecords, 1u) << "the second checkpoint must append";
+
+  // A stand-in for kill -9: the store and its journal as a live daemon
+  // leaves them. A fresh engine on the copy replays both jobs 100% warm.
+  auto CopyFile = [](const std::string &From, const std::string &To) {
+    std::ifstream In(From, std::ios::binary);
+    std::ofstream Out(To, std::ios::binary | std::ios::trunc);
+    Out << In.rdbuf();
+  };
+  CopyFile(D.Store, Copy.Store);
+  CopyFile(Journal, CopyJournal);
+  {
+    Context Ctx;
+    std::vector<std::unique_ptr<Module>> Mods;
+    for (const SubmitPayload *Req : {&First, &Second}) {
+      BenchmarkProfile P = getProfile(Req->Modules[0].Name);
+      P.FunctionCount = Req->Modules[0].FnCount;
+      Mods.push_back(generateBenchmark(Ctx, P));
+    }
+    EngineConfig EC;
+    EC.Threads = 1;
+    EC.Triage.Enabled = true;
+    EC.CachePath = Copy.Store;
+    EC.CacheSave = false;
+    ValidationEngine Engine(EC);
+    for (const auto &M : Mods)
+      Engine.run(*M, getPaperPipeline());
+    EXPECT_EQ(Engine.cacheStats().Misses, 0u)
+        << "verdicts lost with the journal";
+    EXPECT_EQ(Engine.cacheStats().TriageMisses, 0u)
+        << "triage results lost with the journal";
+    EXPECT_GT(Engine.cacheStats().WarmHits, 0u);
+  }
+  std::remove(CopyJournal.c_str());
+
+  // A graceful stop compacts: one store file, no journal left behind.
+  Server.stop();
+  EXPECT_FALSE(static_cast<bool>(std::ifstream(Journal)));
+  HI = VerdictStore::peekHeader(D.Store);
+  ASSERT_TRUE(HI.ok()) << HI.Message;
+  EXPECT_EQ(HI.JournalRecords, 0u);
+  EXPECT_EQ(Server.counters().Checkpoints, 3u);
 }
 
 TEST(ServerTest, ClientDisconnectMidJobDoesNotKillTheJobOrTheServer) {

@@ -805,3 +805,314 @@ TEST(VerdictStoreTest, MergePathsUnionsAndRejectsMismatchedInputs) {
             VerdictStore::LoadStatus::NoFile)
       << "a failed merge must not write a partial store";
 }
+
+//===----------------------------------------------------------------------===//
+// Journal (append-only checkpoints)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A store path plus its journal and lock file, all removed on destruction.
+class JournaledStore {
+public:
+  explicit JournaledStore(const std::string &Name)
+      : Path(::testing::TempDir() + "/" + Name),
+        Journal(VerdictStore::journalPath(Path)) {
+    cleanup();
+  }
+  ~JournaledStore() { cleanup(); }
+  void cleanup() {
+    std::remove(Path.c_str());
+    std::remove(Journal.c_str());
+    std::remove((Path + ".lock").c_str());
+  }
+  const std::string Path, Journal;
+};
+
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+bool fileExists(const std::string &Path) {
+  return static_cast<bool>(std::ifstream(Path));
+}
+
+TriageMap makeTriage(unsigned N, uint64_t Salt) {
+  TriageMap T;
+  for (unsigned I = 0; I < N; ++I) {
+    StoredTriage ST;
+    ST.OptionsDigest = 0x0d + Salt;
+    ST.Result.Classification = TriageClassification::SuspectedFalseAlarm;
+    ST.Result.InputsTried = I + 1;
+    ST.Result.WitnessInputs = {"i32 " + std::to_string(I)};
+    ST.Result.MissingRule = "rule-" + std::to_string(I + Salt);
+    T.emplace(VerdictKey{0x5000 + I + Salt, 0x6000 + I + Salt, 0xc1},
+              std::move(ST));
+  }
+  return T;
+}
+
+} // namespace
+
+TEST(VerdictStoreTest, JournalAppendsRoundTrip) {
+  JournaledStore S("journal-roundtrip.vstore");
+  VerdictStore::JournalCursor Cursor;
+  VerdictMap A = makeMap(4, 100);
+  TriageMap TA = makeTriage(2, 100);
+  // Nothing to append after: the first checkpoint must be a full save.
+  EXPECT_EQ(VerdictStore::append(S.Path, 0xd1, A, &TA, Cursor),
+            VerdictStore::AppendStatus::NeedsSave);
+  EXPECT_FALSE(fileExists(S.Journal));
+
+  VerdictMap Base = makeMap(6);
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, Base), ~0ull);
+  std::string Err;
+  ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, A, &TA, Cursor, &Err),
+            VerdictStore::AppendStatus::Appended)
+      << Err;
+  VerdictMap B = makeMap(3, 200);
+  ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, B, nullptr, Cursor, &Err),
+            VerdictStore::AppendStatus::Appended)
+      << Err;
+  std::string StoreBytes = readBytes(S.Path);
+
+  VerdictMap Loaded;
+  TriageMap LoadedTriage;
+  VerdictStore::LoadResult LR =
+      VerdictStore::load(S.Path, 0xd1, Loaded, &LoadedTriage);
+  ASSERT_TRUE(LR.loaded()) << LR.Message;
+  EXPECT_EQ(LR.EntriesInFile, Base.size());
+  EXPECT_EQ(LR.JournalRecords, 2u);
+  EXPECT_EQ(LR.EntriesMerged, Base.size() + A.size() + B.size());
+  for (const VerdictMap *M : {&Base, &A, &B})
+    for (const auto &[K, R] : *M) {
+      ASSERT_EQ(Loaded.count(K), 1u);
+      EXPECT_EQ(Loaded.at(K).Reason, R.Reason);
+      EXPECT_EQ(Loaded.at(K).Rewrites, R.Rewrites);
+    }
+  ASSERT_EQ(LoadedTriage.size(), TA.size());
+  for (const auto &[K, T] : TA) {
+    EXPECT_EQ(LoadedTriage.at(K).OptionsDigest, T.OptionsDigest);
+    EXPECT_EQ(LoadedTriage.at(K).Result.MissingRule, T.Result.MissingRule);
+    EXPECT_EQ(LoadedTriage.at(K).Result.WitnessInputs,
+              T.Result.WitnessInputs);
+  }
+
+  // Occupancy inspection counts the journal next to the store file.
+  VerdictStore::HeaderInfo HI = VerdictStore::peekHeader(S.Path);
+  ASSERT_TRUE(HI.ok()) << HI.Message;
+  EXPECT_EQ(HI.VerdictEntries, Base.size());
+  EXPECT_EQ(HI.JournalRecords, 2u);
+  EXPECT_EQ(HI.JournalVerdictEntries, A.size() + B.size());
+  EXPECT_EQ(HI.JournalTriageEntries, TA.size());
+  EXPECT_GT(HI.JournalBytes, 0u);
+  EXPECT_EQ(HI.JournalValidBytes, HI.JournalBytes);
+  VerdictStore::HeaderInfo SI;
+  EXPECT_EQ(VerdictStore::peekShards(S.Path, &SI).size(), SI.ShardCount);
+  EXPECT_EQ(SI.JournalRecords, 2u);
+  EXPECT_EQ(SI.JournalVerdictEntries, A.size() + B.size());
+
+  // The mapped reader serves the store file only: a journal entry is a
+  // miss there, never a wrong verdict.
+  auto M = MappedVerdictStore::open(S.Path, 0xd1);
+  ASSERT_NE(M, nullptr);
+  EXPECT_NE(M->lookup(Base.begin()->first), nullptr);
+  EXPECT_EQ(M->lookup(A.begin()->first), nullptr);
+
+  // Appending never rewrote the store file.
+  EXPECT_EQ(readBytes(S.Path), StoreBytes);
+}
+
+TEST(VerdictStoreTest, JournalTornTailLoadsTheRecordsBeforeIt) {
+  JournaledStore S("journal-torn.vstore");
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, makeMap(8)), ~0ull);
+  VerdictStore::JournalCursor Cursor;
+  VerdictMap A = makeMap(3, 100), B = makeMap(3, 200);
+  ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, A, nullptr, Cursor),
+            VerdictStore::AppendStatus::Appended);
+  uint64_t FirstRecordEnd = Cursor.JournalBytes;
+  ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, B, nullptr, Cursor),
+            VerdictStore::AppendStatus::Appended);
+
+  // A crash mid-append: the second record loses its last bytes.
+  std::string J = readBytes(S.Journal);
+  writeBytes(S.Journal, J.substr(0, J.size() - 7));
+  VerdictMap Loaded;
+  VerdictStore::LoadResult LR = VerdictStore::load(S.Path, 0xd1, Loaded);
+  ASSERT_TRUE(LR.loaded()) << "a torn journal tail must not reject the store";
+  EXPECT_EQ(LR.JournalRecords, 1u);
+  EXPECT_EQ(Loaded.size(), 8u + A.size());
+  for (const auto &KV : B)
+    EXPECT_EQ(Loaded.count(KV.first), 0u);
+  VerdictStore::HeaderInfo HI = VerdictStore::peekHeader(S.Path);
+  ASSERT_TRUE(HI.ok());
+  EXPECT_EQ(HI.JournalValidBytes, FirstRecordEnd);
+  EXPECT_EQ(HI.JournalBytes, J.size() - 7);
+
+  // A bit flip in the first record's payload ends the replay there.
+  std::string Flipped = J;
+  Flipped[FirstRecordEnd - 3] ^= 0x20;
+  writeBytes(S.Journal, Flipped);
+  Loaded.clear();
+  EXPECT_EQ(VerdictStore::load(S.Path, 0xd1, Loaded).JournalRecords, 0u);
+  EXPECT_EQ(Loaded.size(), 8u);
+
+  // Appending after a bad record would never be replayed: the appender
+  // compacts instead, keeping what the good records held.
+  writeBytes(S.Journal, J.substr(0, J.size() - 7));
+  VerdictStore::JournalCursor Fresh;
+  EXPECT_EQ(VerdictStore::append(S.Path, 0xd1, makeMap(1, 300), nullptr,
+                                 Fresh),
+            VerdictStore::AppendStatus::Compacted);
+  EXPECT_FALSE(fileExists(S.Journal));
+  Loaded.clear();
+  LR = VerdictStore::load(S.Path, 0xd1, Loaded);
+  ASSERT_TRUE(LR.loaded());
+  EXPECT_EQ(LR.JournalRecords, 0u);
+  EXPECT_EQ(Loaded.size(), 8u + A.size() + 1u);
+
+  // An appender whose cursor predates that rewrite re-verifies the new
+  // store file and appends normally.
+  EXPECT_EQ(VerdictStore::append(S.Path, 0xd1, makeMap(1, 400), nullptr,
+                                 Cursor),
+            VerdictStore::AppendStatus::Appended);
+  Loaded.clear();
+  ASSERT_TRUE(VerdictStore::load(S.Path, 0xd1, Loaded).loaded());
+  EXPECT_EQ(Loaded.size(), 8u + A.size() + 2u);
+}
+
+TEST(VerdictStoreTest, JournalRecordUnderAnotherDigestIsIgnored) {
+  JournaledStore S("journal-digest.vstore"), Other("journal-other.vstore");
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, makeMap(8)), ~0ull);
+  ASSERT_NE(VerdictStore::save(Other.Path, 0xd2, makeMap(8, 50)), ~0ull);
+  VerdictStore::JournalCursor OtherCursor;
+  VerdictMap Foreign = makeMap(3, 400);
+  ASSERT_EQ(VerdictStore::append(Other.Path, 0xd2, Foreign, nullptr,
+                                 OtherCursor),
+            VerdictStore::AppendStatus::Appended);
+  // A record proven under other rules lands in this store's journal (as a
+  // stale journal would after a rule change) ahead of a valid one.
+  writeBytes(S.Journal, readBytes(Other.Journal));
+  VerdictStore::JournalCursor Cursor;
+  VerdictMap Mine = makeMap(2, 500);
+  ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, Mine, nullptr, Cursor),
+            VerdictStore::AppendStatus::Appended);
+
+  VerdictMap Loaded;
+  VerdictStore::LoadResult LR = VerdictStore::load(S.Path, 0xd1, Loaded);
+  ASSERT_TRUE(LR.loaded());
+  EXPECT_EQ(LR.JournalRecords, 1u);
+  for (const auto &KV : Foreign)
+    EXPECT_EQ(Loaded.count(KV.first), 0u) << "foreign-digest entry replayed";
+  for (const auto &KV : Mine)
+    EXPECT_EQ(Loaded.count(KV.first), 1u);
+  EXPECT_EQ(VerdictStore::peekHeader(S.Path).JournalRecords, 1u);
+
+  // Appending next to a store under another digest is refused too.
+  EXPECT_EQ(VerdictStore::append(S.Path, 0xd3, Mine, nullptr, Cursor),
+            VerdictStore::AppendStatus::NeedsSave);
+}
+
+TEST(VerdictStoreTest, AppendsThenCompactionEqualOneSaveOfTheUnion) {
+  JournaledStore S("journal-compact.vstore"), Ref("journal-ref.vstore");
+  VerdictMap Union = makeMap(20);
+  TriageMap UnionTriage = makeTriage(3, 0);
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, Union, nullptr, true,
+                               &UnionTriage),
+            ~0ull);
+  VerdictStore::JournalCursor Cursor;
+  for (unsigned N = 1; N <= 4; ++N) {
+    VerdictMap M = makeMap(3, N * 1000);
+    TriageMap T = makeTriage(1, N * 1000);
+    ASSERT_EQ(VerdictStore::append(S.Path, 0xd1, M, &T, Cursor),
+              VerdictStore::AppendStatus::Appended);
+    Union.insert(M.begin(), M.end());
+    UnionTriage.insert(T.begin(), T.end());
+  }
+  ASSERT_TRUE(fileExists(S.Journal));
+
+  // A full save with merge folds the journal in and deletes it; the file
+  // is byte-identical to a single save of everything ever appended.
+  TriageMap NoTriage;
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, VerdictMap(), nullptr, true,
+                               &NoTriage),
+            ~0ull);
+  EXPECT_FALSE(fileExists(S.Journal));
+  ASSERT_NE(VerdictStore::save(Ref.Path, 0xd1, Union, nullptr, false,
+                               &UnionTriage),
+            ~0ull);
+  EXPECT_EQ(readBytes(S.Path), readBytes(Ref.Path));
+  EXPECT_EQ(readBytes(S.Path),
+            VerdictStore::serialize(0xd1, Union, &UnionTriage));
+}
+
+TEST(VerdictStoreTest, JournalNeverOutgrowsTheStoreFile) {
+  JournaledStore S("journal-grow.vstore");
+  VerdictMap All = makeMap(1);
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, All), ~0ull);
+  uint64_t StoreBytes = readBytes(S.Path).size();
+  VerdictStore::JournalCursor Cursor;
+  unsigned Appended = 0;
+  VerdictStore::AppendStatus St;
+  for (;;) {
+    VerdictMap M = makeMap(4, 100 * (Appended + 1));
+    All.insert(M.begin(), M.end());
+    St = VerdictStore::append(S.Path, 0xd1, M, nullptr, Cursor);
+    if (St != VerdictStore::AppendStatus::Appended)
+      break;
+    ++Appended;
+    EXPECT_LE(readBytes(S.Journal).size(), StoreBytes);
+  }
+  // The record that would have made the journal larger than the store
+  // file compacts instead: one store file holding everything.
+  EXPECT_EQ(St, VerdictStore::AppendStatus::Compacted);
+  EXPECT_GT(Appended, 0u);
+  EXPECT_FALSE(fileExists(S.Journal));
+  EXPECT_EQ(readBytes(S.Path), VerdictStore::serialize(0xd1, All));
+}
+
+TEST(VerdictStoreTest, ConcurrentAppendersLoseNoEntries) {
+  JournaledStore S("journal-concurrent.vstore");
+  ASSERT_NE(VerdictStore::save(S.Path, 0xd1, makeMap(4)), ~0ull);
+  // Two checkpointers on one path, each behaving like the engine: append
+  // what is new, and on NeedsSave save everything it holds in full. Small
+  // records against a small store force compactions in between, so the
+  // appenders also see each other's journals and rewritten store files.
+  constexpr unsigned Writers = 2, Rounds = 40;
+  std::vector<unsigned> Appends(Writers, 0), Compactions(Writers, 0);
+  std::vector<std::thread> Threads;
+  for (unsigned W = 0; W < Writers; ++W)
+    Threads.emplace_back([&, W] {
+      VerdictStore::JournalCursor Cursor;
+      VerdictMap Held;
+      for (unsigned R = 0; R < Rounds; ++R) {
+        VerdictMap New = makeMap(2, 10000 * (W + 1) + 2 * R);
+        Held.insert(New.begin(), New.end());
+        VerdictStore::AppendStatus St =
+            VerdictStore::append(S.Path, 0xd1, New, nullptr, Cursor);
+        if (St == VerdictStore::AppendStatus::Appended) {
+          ++Appends[W];
+        } else if (St == VerdictStore::AppendStatus::Compacted) {
+          ++Compactions[W];
+        } else {
+          ADD_FAILURE() << "a loadable store must never need a full save";
+          EXPECT_NE(VerdictStore::save(S.Path, 0xd1, Held), ~0ull);
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  VerdictMap Loaded;
+  ASSERT_TRUE(VerdictStore::load(S.Path, 0xd1, Loaded).loaded());
+  EXPECT_EQ(Loaded.size(), 4u + Writers * Rounds * 2);
+  EXPECT_GT(Compactions[0] + Compactions[1], 0u);
+  for (unsigned W = 0; W < Writers; ++W) {
+    EXPECT_GT(Appends[W], 0u);
+    for (unsigned R = 0; R < Rounds; ++R)
+      for (const auto &KV : makeMap(2, 10000 * (W + 1) + 2 * R))
+        EXPECT_EQ(Loaded.count(KV.first), 1u);
+  }
+}
