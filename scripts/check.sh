@@ -168,7 +168,7 @@ if [ "$MODE" = serve ]; then
   #  3. The daemon exits 0 on a client Shutdown frame (graceful drain).
   #  4. No leaked store lock, temp or journal files: after shutdown the
   #     advisory lock is free, no write-temp files remain, and the final
-  #     checkpoint compacted `<store>.journal` into the store file.
+  #     checkpoint folded `<store>.journal` into the store file.
   #  5. A daemon killed with SIGKILL after its checkpoints loses nothing
   #     they held: checkpoints append to the journal, and a daemon
   #     restarted on the same store replays it 100% warm.
@@ -259,7 +259,7 @@ if [ "$MODE" = serve ]; then
   wait "$DAEMON"
   DAEMON=""
 
-  # Every graceful shutdown compacts: no journal survives one.
+  # Every graceful shutdown ends in a full save: no journal survives one.
   if ls "$DIR"/*.journal > /dev/null 2>&1; then
     echo "a graceful shutdown left a verdict-store journal behind" >&2
     exit 1

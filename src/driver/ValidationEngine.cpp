@@ -274,7 +274,8 @@ bool ValidationEngine::saveCache(std::string *Error) {
     TriageOut.emplace(KV.first, KV.second.Stored);
   std::string LocalError;
   uint64_t Written = VerdictStore::save(Cfg.CachePath, storeConfigDigest(),
-                                        Out, Error ? Error : &LocalError,
+                                        std::move(Out),
+                                        Error ? Error : &LocalError,
                                         /*MergeExisting=*/true, &TriageOut);
   if (Written == ~0ull) {
     // A swallowed save failure would resurface later as a baffling
@@ -296,6 +297,7 @@ bool ValidationEngine::saveCache(std::string *Error) {
 bool ValidationEngine::checkpointCache(std::string *Error) {
   VerdictStore::AppendStatus Status;
   std::string LocalError;
+  uint64_t Appended;
   {
     PhaseTimer Timer;
     TraceSpan Span("store_append", "store", Cfg.CachePath);
@@ -303,6 +305,7 @@ bool ValidationEngine::checkpointCache(std::string *Error) {
     Out.reserve(UnsavedVerdicts.size());
     for (const CacheKey &K : UnsavedVerdicts)
       Out.emplace(K, Cache.at(K).Result);
+    Appended = Out.size();
     TriageMap TriageOut;
     TriageOut.reserve(UnsavedTriage.size());
     for (const CacheKey &K : UnsavedTriage)
@@ -312,8 +315,8 @@ bool ValidationEngine::checkpointCache(std::string *Error) {
                                   Error ? Error : &LocalError);
     Stats.StoreSaveMicroseconds += Timer.elapsedUs();
   }
-  if (Status == VerdictStore::AppendStatus::Appended ||
-      Status == VerdictStore::AppendStatus::Compacted) {
+  if (Status == VerdictStore::AppendStatus::Appended) {
+    Stats.StoreSaved = Appended;
     CacheDirty = false;
     UnsavedVerdicts.clear();
     UnsavedTriage.clear();
@@ -322,25 +325,6 @@ bool ValidationEngine::checkpointCache(std::string *Error) {
   if (Status == VerdictStore::AppendStatus::Failed)
     logWarn("engine", "verdict journal not appended, saving in full: " +
                           (Error ? *Error : LocalError));
-  return saveCache(Error);
-}
-
-bool ValidationEngine::compactCache(std::string *Error) {
-  if (!checkpointCache(Error))
-    return false;
-  std::string LocalError;
-  bool Compacted;
-  {
-    PhaseTimer Timer;
-    TraceSpan Span("store_compact", "store", Cfg.CachePath);
-    Compacted = VerdictStore::compact(Cfg.CachePath, storeConfigDigest(),
-                                      Error ? Error : &LocalError);
-    Stats.StoreSaveMicroseconds += Timer.elapsedUs();
-  }
-  if (Compacted)
-    return true;
-  logWarn("engine", "verdict journal not compacted, saving in full: " +
-                        (Error ? *Error : LocalError));
   return saveCache(Error);
 }
 

@@ -105,7 +105,9 @@ struct EngineCacheStats {
   uint64_t SkippedIdentical = 0; ///< fingerprint-equal pairs, skipped O(1)
   uint64_t Entries = 0;          ///< memoized verdicts currently held
   uint64_t StoreLoaded = 0; ///< entries merged in from the persistent store
-  uint64_t StoreSaved = 0;  ///< entries written by the most recent save
+  /// Verdict entries written by the most recent save, or by the most
+  /// recent checkpoint append (only the new entries).
+  uint64_t StoreSaved = 0;
   /// Triage replay accounting, mirroring the verdict fields: rejected pairs
   /// whose TriageResult was replayed from the in-memory triage cache
   /// (TriageHits; TriageWarmHits of those came from the persistent store)
@@ -211,18 +213,11 @@ public:
   bool saveCache(std::string *Error = nullptr);
 
   /// Checkpoints only what was memoized since the last save: one record
-  /// appended to the store's journal, O(new entries) — or, when the store
-  /// compacts (a bad journal tail, or the journal outgrowing the store
-  /// file), folded into a rewritten store file from disk. Falls back to
-  /// saveCache() when no loadable store exists yet.
+  /// appended to the store's journal, O(new entries). Falls back to
+  /// saveCache() whenever VerdictStore::append asks for a full save (no
+  /// loadable store yet, a bad journal tail, or a journal that would
+  /// outgrow the store file) or fails.
   bool checkpointCache(std::string *Error = nullptr);
-
-  /// checkpointCache(), then folds the journal into the store file from
-  /// disk (VerdictStore::compact) — everything the cache holds is in the
-  /// store or its journal by then, so the cache is not copied. Leaves one
-  /// store file, the same bytes saveCache() would write. Falls back to
-  /// saveCache() if the store file no longer loads.
-  bool compactCache(std::string *Error = nullptr);
 
 private:
   /// Verdict cache keys are shared with the persistent store: both

@@ -723,15 +723,9 @@ uint64_t fileStamp(const struct stat &St) {
 
 } // namespace
 
-namespace {
-
-/// Emits the v3 bytes of \p Map (+ \p Triage) through \p Sink, holding one
-/// shard payload at a time: Sink.append(Data, Size) extends the output —
-/// first with a zeroed region where the header and index go — and
-/// Sink.patchHead(Head) finally writes them over that region.
-template <typename SinkT>
-void emitStore(SinkT &Sink, uint64_t ConfigDigest, const VerdictMap &Map,
-               const TriageMap *Triage) {
+std::string VerdictStore::serialize(uint64_t ConfigDigest,
+                                    const VerdictMap &Map,
+                                    const TriageMap *Triage) {
   // Deterministic bytes: shard count derives from the entry count, entries
   // sort by key within their shard, offsets follow the canonical packing —
   // the same maps always serialize identically regardless of hash-table
@@ -748,76 +742,57 @@ void emitStore(SinkT &Sink, uint64_t ConfigDigest, const VerdictMap &Map,
     for (const auto &KV : *Triage)
       TriageEntries[shardFor(KV.first.Config, ShardCount)].push_back(&KV);
 
-  static const char Zeros[VerdictStore::PageBytes] = {};
-  uint64_t At = 0;
-  auto PadTo = [&](uint64_t Offset) {
-    while (At < Offset) {
-      size_t N = std::min<uint64_t>(Offset - At, VerdictStore::PageBytes);
-      Sink.append(Zeros, N);
-      At += N;
-    }
-  };
-  PadTo(alignToPage(HeaderSizeV3 + ShardCount * IndexRecordSize));
-
+  std::vector<std::string> Payloads(ShardCount);
   std::vector<ShardRecord> Index(ShardCount);
-  std::string P;
   for (uint32_t S = 0; S < ShardCount; ++S) {
     auto ByKey = [&](const auto *A, const auto *B) {
       return keyLess(A->first, B->first);
     };
     std::sort(Entries[S].begin(), Entries[S].end(), ByKey);
     std::sort(TriageEntries[S].begin(), TriageEntries[S].end(), ByKey);
-    P.clear();
+    std::string &P = Payloads[S];
+    P.reserve(Entries[S].size() * 80);
     for (const auto *KV : Entries[S])
       appendEntry(P, KV->first, KV->second);
     for (const auto *KV : TriageEntries[S])
       appendTriageEntry(P, KV->first, KV->second);
-    PadTo(alignToPage(At)); // zero padding up to the shard boundary
-    ShardRecord &R = Index[S];
-    R.Offset = At;
-    R.Bytes = P.size();
-    R.VerdictCount = Entries[S].size();
-    R.TriageCount = TriageEntries[S].size();
-    R.PayloadHash = hashBytes(P.data(), P.size());
-    Sink.append(P.data(), P.size());
-    At += P.size();
+    Index[S].Bytes = P.size();
+    Index[S].VerdictCount = Entries[S].size();
+    Index[S].TriageCount = TriageEntries[S].size();
+    Index[S].PayloadHash = hashBytes(P.data(), P.size());
+  }
+
+  size_t Offset = alignToPage(HeaderSizeV3 + ShardCount * IndexRecordSize);
+  for (uint32_t S = 0; S < ShardCount; ++S) {
+    Index[S].Offset = Offset;
+    Offset = alignToPage(Offset + Index[S].Bytes);
   }
 
   std::string IndexBytes;
   IndexBytes.reserve(ShardCount * IndexRecordSize);
-  for (const ShardRecord &R : Index) {
-    appendU64LE(IndexBytes, R.Offset);
-    appendU64LE(IndexBytes, R.Bytes);
-    appendU64LE(IndexBytes, R.VerdictCount);
-    appendU64LE(IndexBytes, R.TriageCount);
-    appendU64LE(IndexBytes, R.PayloadHash);
+  for (const ShardRecord &S : Index) {
+    appendU64LE(IndexBytes, S.Offset);
+    appendU64LE(IndexBytes, S.Bytes);
+    appendU64LE(IndexBytes, S.VerdictCount);
+    appendU64LE(IndexBytes, S.TriageCount);
+    appendU64LE(IndexBytes, S.PayloadHash);
   }
-  std::string Head;
-  appendU64LE(Head, StoreMagic);
-  appendU32LE(Head, VerdictStore::FormatVersion);
-  appendU32LE(Head, ShardCount);
-  appendU64LE(Head, ConfigDigest);
-  appendU64LE(Head, static_cast<uint64_t>(Map.size()));
-  appendU64LE(Head, static_cast<uint64_t>(TriageSize));
-  appendU64LE(Head, hashBytes(IndexBytes.data(), IndexBytes.size()));
-  Head += IndexBytes;
-  Sink.patchHead(Head);
-}
 
-} // namespace
-
-std::string VerdictStore::serialize(uint64_t ConfigDigest,
-                                    const VerdictMap &Map,
-                                    const TriageMap *Triage) {
-  struct StringSink {
-    std::string Out;
-    void append(const char *Data, size_t Size) { Out.append(Data, Size); }
-    void patchHead(const std::string &Head) {
-      std::copy(Head.begin(), Head.end(), Out.begin());
-    }
-  } Sink;
-  emitStore(Sink, ConfigDigest, Map, Triage);
-  return std::move(Sink.Out);
+  std::string Out;
+  Out.reserve(Index.back().Offset + Index.back().Bytes);
+  appendU64LE(Out, StoreMagic);
+  appendU32LE(Out, FormatVersion);
+  appendU32LE(Out, ShardCount);
+  appendU64LE(Out, ConfigDigest);
+  appendU64LE(Out, static_cast<uint64_t>(Map.size()));
+  appendU64LE(Out, static_cast<uint64_t>(TriageSize));
+  appendU64LE(Out, hashBytes(IndexBytes.data(), IndexBytes.size()));
+  Out += IndexBytes;
+  for (uint32_t S = 0; S < ShardCount; ++S) {
+    Out.resize(Index[S].Offset); // zero padding up to the shard boundary
+    Out += Payloads[S];
+  }
+  return Out;
 }
 
 VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
@@ -857,18 +832,16 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
   }
   LR.EntriesInFile = Idx.VerdictTotal;
 
-  // Parse into scratch maps first so a malformed shard cannot leave Map
-  // half-merged. The journal's records go in first and its bytes are
-  // freed before any shard page is touched; the shards then fill in behind
-  // them (a key both hold keeps the journal's, newer, value).
+  // Parse every shard into scratch maps first so a malformed one cannot
+  // leave Map half-merged. The journal's records go in first; the shards
+  // then fill in behind them (a key both hold keeps the journal's, newer,
+  // value).
   VerdictMap Parsed;
   TriageMap ParsedTriage;
-  if (HaveJournal) {
+  if (HaveJournal)
     LR.JournalRecords = scanJournal(Journal.data(), Journal.size(),
                                     ConfigDigest, &Parsed, &ParsedTriage)
                             .Records;
-    std::string().swap(Journal);
-  }
   for (size_t S = 0; S < Idx.Shards.size(); ++S) {
     const ShardRecord &R = Idx.Shards[S];
     const char *P = Buf.data() + R.Offset;
@@ -885,13 +858,12 @@ VerdictStore::LoadResult VerdictStore::load(const std::string &Path,
     }
   }
 
-  // Splice the parsed nodes over (no copy, no second allocation); keys the
-  // maps already hold stay behind in the scratch maps.
-  size_t Before = Map.size();
-  Map.merge(Parsed);
-  LR.EntriesMerged = Map.size() - Before;
+  for (auto &KV : Parsed)
+    if (Map.emplace(KV.first, std::move(KV.second)).second)
+      ++LR.EntriesMerged;
   if (Triage)
-    Triage->merge(ParsedTriage);
+    for (auto &KV : ParsedTriage)
+      Triage->emplace(KV.first, std::move(KV.second));
   LR.Status = LoadStatus::Loaded;
   return LR;
 }
@@ -1036,35 +1008,58 @@ VerdictStore::peekShards(const std::string &Path, HeaderInfo *Info) {
   return Out;
 }
 
-namespace {
+uint64_t VerdictStore::mergePaths(const std::vector<std::string> &Inputs,
+                                  const std::string &OutPath,
+                                  uint64_t ConfigDigest, std::string *Error) {
+  VerdictMap Merged;
+  TriageMap MergedTriage;
+  for (const std::string &Path : Inputs) {
+    // load() keeps the existing value per key, so earlier inputs win —
+    // document order is precedence order.
+    LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
+    if (LR.Status == LoadStatus::NoFile)
+      continue; // a worker that never saved is an empty shard, not an error
+    if (!LR.loaded()) {
+      if (Error)
+        *Error = "'" + Path + "': " + LR.Message;
+      return ~0ull;
+    }
+  }
+  return save(OutPath, ConfigDigest, std::move(Merged), Error,
+              /*MergeExisting=*/true, &MergedTriage);
+}
 
-/// Writes \p Map (+ \p Triage) as the store at \p Path: a sibling temp
-/// file renamed over the target, then the journal it supersedes deleted.
-/// The caller holds the path's SaveLock. Returns the verdict entries
-/// written, or ~0ull with \p Error set.
-uint64_t writeStoreLocked(const std::string &Path, uint64_t ConfigDigest,
-                          const VerdictMap &Map, const TriageMap *Triage,
-                          std::string *Error) {
+uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
+                            VerdictMap Map, std::string *Error,
+                            bool MergeExisting, const TriageMap *Triage) {
+  SaveLock Lock(Path);
+  const TriageMap *TriageToWrite = Triage;
+  TriageMap MergedTriage;
+  if (MergeExisting) {
+    // Union with whatever another shard already saved here, journal
+    // included. load() keeps the in-memory entries per key, so the current
+    // process wins; a store that fails to load (any reason) contributes
+    // nothing.
+    if (Triage)
+      MergedTriage = *Triage;
+    load(Path, ConfigDigest, Map, &MergedTriage);
+    // Preserve another shard's triage entries even when this engine ran
+    // with triage off (Triage == nullptr): dropping them on save would
+    // silently cool future warm runs.
+    TriageToWrite = &MergedTriage;
+  }
+
+  std::string Bytes = serialize(ConfigDigest, Map, TriageToWrite);
+
 #ifndef _WIN32
   std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
 #else
   std::string Tmp = Path + ".tmp";
 #endif
   {
-    // Streamed: the file is never held in memory whole.
-    struct FileSink {
-      std::ofstream OS;
-      void append(const char *Data, size_t Size) {
-        OS.write(Data, static_cast<std::streamsize>(Size));
-      }
-      void patchHead(const std::string &Head) {
-        OS.seekp(0);
-        OS.write(Head.data(), static_cast<std::streamsize>(Head.size()));
-      }
-    } Sink{std::ofstream(Tmp, std::ios::binary | std::ios::trunc)};
-    if (Sink.OS)
-      emitStore(Sink, ConfigDigest, Map, Triage);
-    if (!Sink.OS.flush()) {
+    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+    if (!Out || !Out.write(Bytes.data(), static_cast<std::streamsize>(
+                                             Bytes.size()))) {
       if (Error)
         *Error = "cannot write '" + Tmp + "'";
       std::remove(Tmp.c_str());
@@ -1083,75 +1078,11 @@ uint64_t writeStoreLocked(const std::string &Path, uint64_t ConfigDigest,
       return ~0ull;
     }
   }
-  // The new file holds everything the journal did (the callers merge it
-  // in first) or is meant to replace it outright; a crash before this
-  // line leaves a journal whose replay is redundant, never wrong.
-  std::remove(VerdictStore::journalPath(Path).c_str());
+  // The new file holds everything the journal did (merged in above) or is
+  // meant to replace it outright; a crash before this line leaves a
+  // journal whose replay is redundant, never wrong.
+  std::remove(journalPath(Path).c_str());
   return static_cast<uint64_t>(Map.size());
-}
-
-} // namespace
-
-uint64_t VerdictStore::mergePaths(const std::vector<std::string> &Inputs,
-                                  const std::string &OutPath,
-                                  uint64_t ConfigDigest, std::string *Error) {
-  VerdictMap Merged;
-  TriageMap MergedTriage;
-  for (const std::string &Path : Inputs) {
-    // load() keeps the existing value per key, so earlier inputs win —
-    // document order is precedence order.
-    LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
-    if (LR.Status == LoadStatus::NoFile)
-      continue; // a worker that never saved is an empty shard, not an error
-    if (!LR.loaded()) {
-      if (Error)
-        *Error = "'" + Path + "': " + LR.Message;
-      return ~0ull;
-    }
-  }
-  // The output's own entries fill in behind the inputs, exactly as
-  // merge-on-save would, without copying the union once more.
-  SaveLock Lock(OutPath);
-  load(OutPath, ConfigDigest, Merged, &MergedTriage);
-  return writeStoreLocked(OutPath, ConfigDigest, Merged, &MergedTriage,
-                          Error);
-}
-
-uint64_t VerdictStore::save(const std::string &Path, uint64_t ConfigDigest,
-                            const VerdictMap &Map, std::string *Error,
-                            bool MergeExisting, const TriageMap *Triage) {
-  SaveLock Lock(Path);
-  if (!MergeExisting)
-    return writeStoreLocked(Path, ConfigDigest, Map, Triage, Error);
-  // Union with whatever another shard already saved here, journal
-  // included. Start from the in-memory maps so the current process wins
-  // per key; a store that fails to load (any reason) contributes nothing.
-  // Another shard's triage entries are kept even when this engine ran
-  // with triage off (Triage == nullptr): dropping them on save would
-  // silently cool future warm runs.
-  VerdictMap Merged = Map;
-  TriageMap MergedTriage;
-  if (Triage)
-    MergedTriage = *Triage;
-  load(Path, ConfigDigest, Merged, &MergedTriage);
-  return writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage, Error);
-}
-
-bool VerdictStore::compact(const std::string &Path, uint64_t ConfigDigest,
-                           std::string *Error) {
-  SaveLock Lock(Path);
-  if (!std::ifstream(journalPath(Path)))
-    return true;
-  VerdictMap Merged;
-  TriageMap MergedTriage;
-  LoadResult LR = load(Path, ConfigDigest, Merged, &MergedTriage);
-  if (!LR.loaded()) {
-    if (Error)
-      *Error = "'" + Path + "': " + LR.Message;
-    return false;
-  }
-  return writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage,
-                          Error) != ~0ull;
 }
 
 VerdictStore::AppendStatus
@@ -1216,28 +1147,13 @@ VerdictStore::append(const std::string &Path, uint64_t ConfigDigest,
       scanJournal(Unseen.data(), Unseen.size(), ConfigDigest, nullptr,
                   nullptr)
               .ValidBytes == Unseen.size();
-  // Compaction rule: the journal never grows larger than the store file,
-  // so replay stays cheap and the rewrites stay geometric. A bad record
-  // compacts too: an append after it would never be replayed.
+  // The journal never grows larger than the store file, so replay stays
+  // cheap and the full saves that fold it in come geometrically rarely. A
+  // bad record needs a full save too: an append after it would never be
+  // replayed.
   if (!Appendable || End + Record.size() > Cursor.StoreBytes) {
     ::close(Fd);
-    VerdictMap Merged = Map;
-    TriageMap MergedTriage;
-    if (Triage)
-      MergedTriage = *Triage;
-    if (!load(Path, ConfigDigest, Merged, &MergedTriage).loaded())
-      return AppendStatus::NeedsSave;
-    if (writeStoreLocked(Path, ConfigDigest, Merged, &MergedTriage, Error) ==
-        ~0ull)
-      return AppendStatus::Failed;
-    // This writer knows the new file is loadable: no need to verify it on
-    // the next append.
-    Cursor = JournalCursor();
-    if (::stat(Path.c_str(), &StoreSt) == 0) {
-      Cursor.StoreStamp = hashCombine(fileStamp(StoreSt), ConfigDigest);
-      Cursor.StoreBytes = static_cast<uint64_t>(StoreSt.st_size);
-    }
-    return AppendStatus::Compacted;
+    return AppendStatus::NeedsSave;
   }
 
   size_t Put = 0;

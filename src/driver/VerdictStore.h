@@ -41,11 +41,12 @@
 ///    the same lock. load() replays the journal after the store file, so
 ///    every reader — restarts, mergePaths, the fleet's shard merge — sees
 ///    it. A crash mid-append leaves a torn tail that ends the replay: only
-///    that record is lost. Every save() and compact() folds the journal
-///    into one store file and deletes it. append() compacts by itself when
-///    the journal's tail is bad or the journal would grow larger than the
-///    store file, so the total write work stays linear in the entries
-///    written; with no loadable store file it asks for a full save.
+///    that record is lost. Every save() with merge folds the journal into
+///    one store file and deletes it; that is the only compaction. append()
+///    asks its caller for such a save when no loadable store file exists,
+///    when the journal's tail is bad, or when the journal would grow
+///    larger than the store file, so the total write work stays linear in
+///    the entries written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -157,11 +158,12 @@ public:
   /// journal included — is folded in first (in-memory entries win per key),
   /// so two engines saving to the same path union their verdicts instead
   /// of clobbering. \p Triage, when non-null, is written (and merged) the
-  /// same way. The journal is deleted after the rename either way. Returns
-  /// the number of verdict entries written, or ~0ull on I/O failure (with
-  /// \p Error set).
+  /// same way. The journal is deleted after the rename either way. \p Map
+  /// is taken by value and merged into in place: a caller done with its
+  /// map moves it in instead of paying for a copy. Returns the number of
+  /// verdict entries written, or ~0ull on I/O failure (with \p Error set).
   static uint64_t save(const std::string &Path, uint64_t ConfigDigest,
-                       const VerdictMap &Map, std::string *Error = nullptr,
+                       VerdictMap Map, std::string *Error = nullptr,
                        bool MergeExisting = true,
                        const TriageMap *Triage = nullptr);
 
@@ -182,33 +184,24 @@ public:
 
   enum class AppendStatus : uint8_t {
     Appended, ///< one record landed at the end of the journal
-    /// The journal ended in a bad record (an append after it would never
-    /// be replayed) or would have grown larger than the store file: the
-    /// store file, the journal's good records and the new entries were
-    /// folded into a rewritten store file, and the journal is gone.
-    Compacted,
-    /// Nothing was written: no v3 store file under \p ConfigDigest loads,
-    /// so the caller must save() everything it holds.
+    /// Nothing was written; the caller must save() everything it holds,
+    /// which folds the journal into a rewritten store file. Returned when
+    /// no v3 store file under \p ConfigDigest loads (the journal would not
+    /// be replayed), when the journal ends in a bad record (an append after
+    /// it would never be replayed), and when the record would make the
+    /// journal larger than the store file (so full saves come
+    /// geometrically rarely and the total write work stays linear).
     NeedsSave,
     Failed, ///< I/O failure (Error set)
   };
 
   /// Appends \p Map and \p Triage (the entries new since the last save) as
-  /// one journal record, entries sorted by key, under the save lock; or
-  /// compacts instead (see AppendStatus). Either way the cost is O(new
-  /// entries) except for the compactions, whose sizes grow geometrically.
+  /// one journal record, entries sorted by key, under the save lock, at a
+  /// cost of O(new entries) — or asks for a full save (see AppendStatus).
   static AppendStatus append(const std::string &Path, uint64_t ConfigDigest,
                              const VerdictMap &Map, const TriageMap *Triage,
                              JournalCursor &Cursor,
                              std::string *Error = nullptr);
-
-  /// Folds `<path>.journal` into the store file under the save lock; true
-  /// right away when there is no journal. False (with \p Error, files left
-  /// as they were) when the store file does not load under
-  /// \p ConfigDigest or the write fails. Works from the files alone, so a
-  /// caller whose entries are all checkpointed need not copy them.
-  static bool compact(const std::string &Path, uint64_t ConfigDigest,
-                      std::string *Error = nullptr);
 
   /// Serializes \p Map (+ optional triage section) to the store byte format
   /// (header included). Exposed for tests that need to corrupt specific

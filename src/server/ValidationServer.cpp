@@ -703,20 +703,20 @@ bool ValidationServer::handleFrame(Connection &C, const Frame &F) {
 void ValidationServer::checkpoint(bool Final) {
   if (Cfg.Engine.CachePath.empty())
     return;
-  // The shutdown checkpoint compacts: a journal left behind (by this run's
-  // appends or a crashed predecessor's) is folded into one store file even
-  // when the cache is clean.
-  bool Compact =
+  // The shutdown checkpoint is a full save: it folds a journal left behind
+  // (by this run's appends or a crashed predecessor's) into one store file
+  // even when the cache is clean.
+  bool FoldJournal =
       Final &&
       std::ifstream(VerdictStore::journalPath(Cfg.Engine.CachePath)).good();
   // Dirty-gated otherwise: a drained daemon serving pure replays must not
   // touch an unchanged store once per cadence interval.
-  if (!Engine->cacheDirty() && !Compact)
+  if (!Engine->cacheDirty() && !FoldJournal)
     return;
   auto Start = std::chrono::steady_clock::now();
   TraceSpan Span("checkpoint", "store");
   if (Final)
-    Engine->compactCache();
+    Engine->saveCache();
   else
     Engine->checkpointCache();
   serverMetrics().CheckpointUs.observe(elapsedMicroseconds(Start));
@@ -792,8 +792,8 @@ void ValidationServer::executorLoop() {
     }
   }
   // Shutdown checkpoint: whatever the cadence left unsaved survives the
-  // restart, as one compacted store file. The SaveLock inside the store is
-  // released with the process, so a clean exit leaks no lock.
+  // restart, as one store file with no journal. The SaveLock inside the
+  // store is released with the process, so a clean exit leaks no lock.
   checkpoint(/*Final=*/true);
 }
 

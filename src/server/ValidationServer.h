@@ -39,12 +39,12 @@
 /// completed jobs and once more at shutdown. A cadence checkpoint appends
 /// only the verdicts and triage results memoized since the last one to the
 /// store's journal (O(new entries), so the next job does not wait behind a
-/// whole-store rewrite); the store compacts the journal into the store file
-/// at full saves — when the journal would outgrow the store file, and at
-/// shutdown, which leaves a single store file behind. A daemon restarted
-/// on the same store replays verdicts *and* triage results without
-/// recomputing anything; one killed mid-run loses at most the torn tail of
-/// the journal record it was writing.
+/// whole-store rewrite). Full saves fold the journal into the store file:
+/// the checkpoint makes one when the journal would outgrow the store file,
+/// and the shutdown checkpoint always is one, which leaves a single store
+/// file behind. A daemon restarted on the same store replays verdicts *and*
+/// triage results without recomputing anything; one killed mid-run loses
+/// at most the torn tail of the journal record it was writing.
 ///
 /// A client disconnecting mid-job only kills its response stream; the job
 /// itself runs to completion so its verdicts still warm the shared caches
@@ -93,7 +93,8 @@ struct ServerConfig {
   unsigned MaxQueuedJobs = 32;
   /// Checkpoint the verdict store every N completed jobs (0 = only at
   /// shutdown). Checkpoints are skipped while the cache is clean; each one
-  /// appends to the store's journal, and the shutdown one compacts.
+  /// appends to the store's journal, and the shutdown one is a full save
+  /// that folds the journal into the store file.
   unsigned CheckpointEveryJobs = 1;
   /// Per-frame payload ceiling for this server's connections.
   uint32_t MaxFrameBytes = DefaultMaxFrameBytes;
@@ -250,9 +251,9 @@ private:
   void sendError(Connection &C, ErrorCode Code, const std::string &Msg);
   /// Engine-thread only: checkpoint the store when dirty (no-op while the
   /// cache is clean or no store is configured) by appending the new
-  /// entries to its journal. The \p Final (shutdown) checkpoint also
-  /// compacts the journal into the store file, and runs whenever the cache
-  /// is dirty or a journal exists.
+  /// entries to its journal. The \p Final (shutdown) checkpoint is a full
+  /// save instead, which folds the journal into the store file; it runs
+  /// whenever the cache is dirty or a journal exists.
   void checkpoint(bool Final);
   /// Engine-thread only: resolve one submitted module to a Module* through
   /// the shared ModuleLoader. \p Unsupported receives the ingest frontend's

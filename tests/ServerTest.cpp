@@ -534,6 +534,14 @@ TEST(ServerTest, JournalCopiedMidRunReplaysWarmAndStopCompactsIt) {
   VerdictStore::HeaderInfo HI = VerdictStore::peekHeader(D.Store);
   ASSERT_TRUE(HI.ok()) << HI.Message;
   EXPECT_EQ(HI.JournalRecords, 1u) << "the second checkpoint must append";
+  // /stats reports what the append wrote, not what the first save did.
+  EXPECT_GT(HI.JournalVerdictEntries, 0u);
+  ASSERT_NE(HI.JournalVerdictEntries, HI.VerdictEntries);
+  EXPECT_NE(Server.statsJSON().find(
+                "\"store_saved\": " +
+                std::to_string(HI.JournalVerdictEntries) + ","),
+            std::string::npos)
+      << Server.statsJSON();
 
   // A stand-in for kill -9: the store and its journal as a live daemon
   // leaves them. A fresh engine on the copy replays both jobs 100% warm.
@@ -568,7 +576,7 @@ TEST(ServerTest, JournalCopiedMidRunReplaysWarmAndStopCompactsIt) {
   }
   std::remove(CopyJournal.c_str());
 
-  // A graceful stop compacts: one store file, no journal left behind.
+  // A graceful stop ends in a full save: one store file, no journal left.
   Server.stop();
   EXPECT_FALSE(static_cast<bool>(std::ifstream(Journal)));
   HI = VerdictStore::peekHeader(D.Store);
